@@ -66,12 +66,14 @@ int main(int argc, char** argv) {
   double cpu0 = CpuSeconds(), wall0 = WallNow(), mem0 = RssMb();
   Program program;
   SymEngine engine(*binary);
+  BaseSummaries base;
   ProgramAnalysis analysis;
   harness.Run("ssa_phase", [&](bench::Rep& rep) {
     CfgBuilder b(*binary);
     program = std::move(*b.BuildProgram());
     CallGraph graph = CallGraph::Build(program);
-    analysis = RunBottomUp(program, graph, engine);
+    base = Summarize(program, graph, engine);
+    analysis = Link(program, graph, base);
     double cpu = CpuSeconds(), wall = WallNow(), mem = RssMb();
     rep.Value("cpu_pct",
               wall - wall0 <= 0 ? 0.0 : 100.0 * (cpu - cpu0) / (wall - wall0));
@@ -79,14 +81,13 @@ int main(int argc, char** argv) {
   });
   double cpu1 = CpuSeconds(), wall1 = WallNow(), mem1 = RssMb();
 
-  // Phase 2: data-flow generation (indirect-call resolution, linking,
-  // path search, sanitization).
+  // Phase 2: data-flow generation (indirect-call resolution, re-linking
+  // the phase-1 summaries, path search, sanitization).
   std::vector<IndirectResolution> resolutions;
   std::vector<TaintPath> paths, vulns;
   harness.Run("ddg_phase", [&](bench::Rep& rep) {
     resolutions = ResolveIndirectCalls(program, analysis.summaries);
-    CallGraph graph2 = CallGraph::Build(program);
-    ProgramAnalysis linked = RunBottomUp(program, graph2, engine);
+    ProgramAnalysis linked = Link(program, CallGraph::Build(program), base);
     PathFinder finder(program, linked);
     paths = finder.FindAll();
     vulns = FilterVulnerable(paths);

@@ -85,7 +85,6 @@
 #include "src/resilience/incident.h"
 #include "src/resilience/journal.h"
 #include "src/resilience/supervisor.h"
-#include "src/symexec/symstate.h"
 #include "src/synth/firmware_synth.h"
 #include "src/util/hash.h"
 #include "src/util/rng.h"
@@ -189,7 +188,6 @@ void PrintUsage() {
       "  --max-expr-nodes N   per-function analysis budget (0 = off)\n"
       "  --corrupt K          corrupt first K extractable images\n"
       "  --fail-fast          stop at the first incident, exit nonzero\n"
-      "  --legacy-state       legacy (non-CoW) symbolic state, for A/B\n"
       "\n"
       "isolation & resume:\n"
       "  --isolate            scan each image in a forked worker\n"
@@ -314,12 +312,6 @@ int main(int argc, char** argv) {
     }
     if (std::strcmp(argv[i], "--resume") == 0) {
       resume = true;
-      continue;
-    }
-    if (std::strcmp(argv[i], "--legacy-state") == 0) {
-      // A/B escape hatch: legacy deep-copying symbolic state (reports
-      // are byte-identical either way; this trades speed for nothing).
-      SetStateCow(false);
       continue;
     }
     if (i + 1 >= argc) continue;

@@ -59,7 +59,6 @@
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/report/json.h"
-#include "src/symexec/symstate.h"
 #include "src/synth/firmware_synth.h"
 #include "src/util/strings.h"
 
@@ -285,10 +284,6 @@ int CmdScan(int argc, char** argv) {
   DTaintConfig config;
   config.enable_alias = !HasFlag(argc, argv, "--no-alias");
   config.enable_structsim = !HasFlag(argc, argv, "--no-structsim");
-  // Escape hatch: run exploration on the legacy deep-copying symbolic
-  // state (reports are byte-identical either way — the differential
-  // oracle pins it; this exists for A/B timing and bisection).
-  if (HasFlag(argc, argv, "--legacy-state")) SetStateCow(false);
   if (const char* mode = FlagValue(argc, argv, "--alias-mode")) {
     if (!ParseAliasMode(mode, &config.interproc.alias_mode)) {
       DTAINT_LOG(obs::LogLevel::kError, "cli",
@@ -388,7 +383,6 @@ int main(int argc, char** argv) {
                  "       [--threads N] [--cache-dir DIR] [--deadline-ms MS]\n"
                  "       [--max-steps N] [--max-states N]\n"
                  "       [--max-expr-nodes N] [--fail-fast]\n"
-                 "       [--legacy-state]\n"
                  "  all commands:\n"
                  "       [--log-level error|warn|info|debug]\n"
                  "       [--trace-out FILE] [--metrics-out FILE]\n"

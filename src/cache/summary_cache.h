@@ -146,7 +146,7 @@ Hash128 EngineFingerprint(const Binary& binary, const EngineConfig& config,
 /// CallSite::resolved_targets: structure-similarity resolution only
 /// affects the later linking phase, never the intraprocedural summary
 /// being cached, so resolving indirect calls must not invalidate
-/// entries (the re-link pass inside one scan re-uses them).
+/// entries (a later scan that resolves more targets re-uses them).
 Hash128 FunctionKey(const Function& fn, const Hash128& engine_fingerprint);
 
 }  // namespace dtaint

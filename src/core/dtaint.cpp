@@ -13,6 +13,21 @@
 
 namespace dtaint {
 
+namespace {
+
+/// True if `program` has an indirect call site: the only thing
+/// ResolveIndirectCalls resolves, hence the only reason to re-link.
+bool HasIndirectCallSite(const Program& program) {
+  for (const auto& [name, fn] : program.functions) {
+    for (const CallSite& cs : fn.callsites) {
+      if (cs.is_indirect) return true;
+    }
+  }
+  return false;
+}
+
+}  // namespace
+
 std::string Finding::Summary() const {
   std::string out(VulnClassName(path.vuln_class));
   out += ": " + path.source_name + " -> " + path.sink_name + " in " +
@@ -33,7 +48,8 @@ Result<AnalysisReport> DTaint::AnalyzeFunctions(
   AnalysisReport report;
   report.binary_name = binary.soname;
   report.arch = binary.arch;
-  obs::Span binary_span(tracer, "binary", report.binary_name);
+  // Named from `binary`: `report` is moved out before the span ends.
+  obs::Span binary_span(tracer, "binary", binary.soname);
   obs::EventStream& events = obs::EventStream::Global();
   obs::MetricsSnapshot metrics_before = registry.Snapshot();
   if (events.enabled()) {
@@ -131,25 +147,26 @@ Result<AnalysisReport> DTaint::AnalyzeFunctions(
   }
   report.analyzed_functions = program.functions.size();
 
-  // 2. Intraprocedural symbolic analysis, bottom-up; alias recognition.
+  // 2. Intraprocedural symbolic analysis and alias recognition, once
+  // per function; Algorithm-2 linking.
   SymEngine engine(binary, config_.engine);
   InterprocConfig interproc_config = config_.interproc;
   interproc_config.apply_alias = config_.enable_alias;
 
   CallGraph graph = CallGraph::Build(program);
+  BaseSummaries base = Summarize(program, graph, engine, interproc_config);
+  // Linking consumes the base summaries; copy them only when a re-link
+  // can follow (structsim on, and an indirect call site to resolve).
+  BaseSummaries relink_base;
+  if (config_.enable_structsim && HasIndirectCallSite(program)) {
+    relink_base = base;
+  }
   ProgramAnalysis analysis =
-      RunBottomUp(program, graph, engine, interproc_config);
+      Link(program, graph, std::move(base), interproc_config);
   report.ssa_seconds = t_ssa.Seconds();
-  // Stats that must combine across the two bottom-up passes (the
-  // re-link after indirect-call resolution re-runs RunBottomUp, whose
-  // stats are per-pass).
-  double summary_seconds = analysis.stats.summary_seconds;
-  size_t cache_hits = analysis.stats.cache_hits;
-  size_t cache_misses = analysis.stats.cache_misses;
-  std::vector<HotFunction> hot_functions = analysis.stats.hot_functions;
 
   // 3. Indirect-call resolution via structure-layout similarity, then
-  // re-link so flows cross the resolved edges.
+  // re-link the same base summaries so flows cross the resolved edges.
   obs::Stopwatch t_ddg;
   if (config_.enable_structsim) {
     obs::Span structsim_span(tracer, "phase", "structsim");
@@ -175,25 +192,11 @@ Result<AnalysisReport> DTaint::AnalyzeFunctions(
                                report.indirect_calls_resolved)));
     }
     if (!resolutions.empty()) {
-      CallGraph graph2 = CallGraph::Build(program);
-      analysis = RunBottomUp(program, graph2, engine, interproc_config);
-      summary_seconds += analysis.stats.summary_seconds;
-      cache_hits += analysis.stats.cache_hits;
-      cache_misses += analysis.stats.cache_misses;
-      hot_functions =
-          MergeHotFunctions(std::move(hot_functions),
-                            analysis.stats.hot_functions,
-                            interproc_config.hot_function_count);
+      analysis = Link(program, CallGraph::Build(program),
+                      std::move(relink_base), interproc_config);
     }
   }
   report.interproc_stats = analysis.stats;
-  // Both bottom-up passes produce summaries; report the combined time
-  // and combined cache traffic.
-  report.interproc_stats.summary_seconds = summary_seconds;
-  report.interproc_stats.cache_hits = cache_hits;
-  report.interproc_stats.cache_misses = cache_misses;
-  report.interproc_stats.hot_functions = hot_functions;
-  report.hot_functions = std::move(hot_functions);
   report.call_graph_edges = program.CallEdgeCount();
 
   // 4. Sink-to-source path search + sanitization checks.

@@ -1,11 +1,11 @@
 // DTaint — the end-to-end detector facade.
 //
 // Pipeline (paper Fig. 4 + §IV): load binary -> lift & build CFGs ->
-// per-function static symbolic analysis (bottom-up, once per function)
-// with pointer-alias recognition -> indirect-call resolution by
-// data-structure-layout similarity -> interprocedural linking ->
-// sink-to-source backward path search -> sanitization constraint
-// checks -> vulnerability report.
+// per-function static symbolic analysis (once per function) with
+// pointer-alias recognition -> interprocedural linking -> indirect-call
+// resolution by data-structure-layout similarity -> re-linking of the
+// same summaries over the resolved edges -> sink-to-source backward
+// path search -> sanitization constraint checks -> vulnerability report.
 #pragma once
 
 #include <cstdint>
@@ -69,10 +69,6 @@ struct AnalysisReport {
   /// total_paths - vulnerable_paths). Deterministic, unlike timings.
   PathFinderStats pathfinder_stats;
 
-  /// Hot-function profile: top functions by summary-analysis wall time,
-  /// merged across both bottom-up passes (most expensive first).
-  std::vector<HotFunction> hot_functions;
-
   /// Per-run metrics delta (global registry counters as deltas over
   /// this Analyze call; gauges/histograms as current values). Embedded
   /// in the JSON report as the "metrics" object.
@@ -83,8 +79,7 @@ struct AnalysisReport {
   // effort cap, degradation, lift failure, or suppression fire? When
   // false the absence of findings is NOT a clean bill of health.
   bool complete = true;
-  /// Functions replaced by the conservative degraded summary (last
-  /// bottom-up pass).
+  /// Functions replaced by the conservative degraded summary.
   size_t degraded_functions = 0;
   /// Vulnerable paths withheld because they crossed degraded
   /// (over-approximated) data flow. Guarantees a tight-budget run

@@ -96,10 +96,11 @@ int AliasModeKey(const InterprocConfig& config) {
 
 }  // namespace
 
-ProgramAnalysis RunBottomUp(const Program& program, const CallGraph& graph,
-                            const SymEngine& engine,
-                            const InterprocConfig& config) {
-  ProgramAnalysis analysis;
+BaseSummaries Summarize(const Program& program, const CallGraph& graph,
+                        const SymEngine& engine,
+                        const InterprocConfig& config) {
+  BaseSummaries result;
+  InterprocStats& stats = result.stats;
   const std::vector<std::string> order = graph.BottomUpOrder();
   obs::Tracer& tracer = obs::Tracer::Global();
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
@@ -120,14 +121,16 @@ ProgramAnalysis RunBottomUp(const Program& program, const CallGraph& graph,
   obs::Counter& m_memo_lookups = registry.counter("engine.block_memo_lookups");
   obs::Counter& m_tainted_paths = registry.counter("engine.tainted_paths");
 
-  // Phase 1: intraprocedural static symbolic analysis — exactly once
-  // per function (and, with a summary cache configured, once per
-  // function *content* across runs). The analyses are independent of
-  // each other, so with num_threads > 1 they run on a worker pool;
-  // results land in a pre-sized slot vector so no synchronization
-  // beyond the work-index counter (and the cache's internal lock) is
-  // needed.
-  std::vector<FunctionSummary> base(order.size());
+  // Intraprocedural static symbolic analysis — exactly once per
+  // function (and, with a summary cache configured, once per function
+  // *content* across runs). The analyses are independent of each
+  // other, so with num_threads > 1 they run on a worker pool; each
+  // writes its own pre-created map slot, so no synchronization beyond
+  // the work-index counter (and the cache's internal lock) is needed.
+  std::vector<FunctionSummary*> base;
+  for (const std::string& name : order) {
+    base.push_back(&result.summaries[name]);
+  }
   // Per-function cost accounting for the hot-function profile and the
   // "summary.function_micros" histogram; slot-per-function, so the
   // worker pool writes without synchronization.
@@ -174,6 +177,7 @@ ProgramAnalysis RunBottomUp(const Program& program, const CallGraph& graph,
   auto analyze_one = [&](size_t i) {
     const Function* fn = program.FindFunction(order[i]);
     if (!fn) return;
+    FunctionSummary& summary = *base[i];
     fns_done.Add();
     if (events.enabled()) {
       events.Emit(obs::Event("function_begin").Str("function", order[i]));
@@ -185,22 +189,22 @@ ProgramAnalysis RunBottomUp(const Program& program, const CallGraph& graph,
     if (cache) {
       Hash128 key = FunctionKey(*fn, engine_fp);
       if (auto cached = cache->Lookup(key)) {
-        base[i] = std::move(*cached);
+        summary = std::move(*cached);
         fn_cached[i] = 1;
         from_cache = true;
       } else {
-        base[i] = produce(*fn, tracker);
+        summary = produce(*fn, tracker);
         // Degraded summaries are budget artifacts, not function
         // content — never persist them, so a rerun with a larger
         // budget (or the fault removed) re-analyzes at full effort.
-        if (!base[i].degraded) cache->Store(key, base[i]);
+        if (!summary.degraded) cache->Store(key, summary);
       }
     } else {
-      base[i] = produce(*fn, tracker);
+      summary = produce(*fn, tracker);
     }
-    if (!from_cache && base[i].degraded) fn_budget[i] = tracker.counters();
+    if (!from_cache && summary.degraded) fn_budget[i] = tracker.counters();
     fn_seconds[i] = watch.Seconds();
-    const ExplorationStats& es = base[i].engine_stats;
+    const ExplorationStats& es = summary.engine_stats;
     m_state_forks.Add(es.state_forks);
     m_cow_copies.Add(es.cow_chunk_copies);
     m_overlay_spills.Add(es.overlay_spills);
@@ -214,7 +218,7 @@ ProgramAnalysis RunBottomUp(const Program& program, const CallGraph& graph,
                           "micros",
                           static_cast<uint64_t>(fn_seconds[i] * 1e6))
                       .Bool("cached", from_cache)
-                      .Bool("degraded", base[i].degraded)
+                      .Bool("degraded", summary.degraded)
                       .Num("forks", es.state_forks)
                       .Num("memo_hits", es.memo_hits)
                       .Num("memo_lookups", es.memo_lookups));
@@ -252,7 +256,7 @@ ProgramAnalysis RunBottomUp(const Program& program, const CallGraph& graph,
       for (int t = 0; t < threads; ++t) pool.emplace_back(worker);
       for (std::thread& t : pool) t.join();
     }
-    analysis.stats.summary_seconds = phase1.Seconds();
+    stats.summary_seconds = phase1.Seconds();
   }
   for (size_t i = 0; i < order.size(); ++i) {
     if (fn_budget[i].exhausted_by == BudgetExhaustion::kNone) continue;
@@ -265,7 +269,7 @@ ProgramAnalysis RunBottomUp(const Program& program, const CallGraph& graph,
         std::string(BudgetExhaustionName(fn_budget[i].exhausted_by)) +
         "); degraded summary substituted");
     incident.budget = fn_budget[i];
-    analysis.stats.incidents.push_back(std::move(incident));
+    stats.incidents.push_back(std::move(incident));
   }
   {
     obs::Histogram& fn_micros = registry.histogram("summary.function_micros");
@@ -281,54 +285,69 @@ ProgramAnalysis RunBottomUp(const Program& program, const CallGraph& graph,
                       [&](size_t a, size_t b) {
                         return fn_seconds[a] > fn_seconds[b];
                       });
-    analysis.stats.hot_functions.reserve(keep);
+    stats.hot_functions.reserve(keep);
     for (size_t k = 0; k < keep; ++k) {
       size_t i = by_cost[k];
-      analysis.stats.hot_functions.push_back(
+      stats.hot_functions.push_back(
           {order[i], fn_seconds[i], fn_cached[i] != 0});
     }
   }
   if (cache) {
     // Compatibility view: the cache mirrors its counters into the
-    // global registry as it goes; read the pass's deltas back out
+    // global registry as it goes; read the phase's deltas back out
     // instead of snapshotting CacheStats (proven equal in obs_test).
-    analysis.stats.cache_hits =
+    stats.cache_hits =
         registry.counter("cache.hits").Value() - cache_hits_before;
-    analysis.stats.cache_misses =
+    stats.cache_misses =
         registry.counter("cache.misses").Value() - cache_misses_before;
-    analysis.stats.cache_evictions = registry.counter("cache.evictions").Value();
-    analysis.stats.cache_memory_bytes =
+    stats.cache_evictions = registry.counter("cache.evictions").Value();
+    stats.cache_memory_bytes =
         static_cast<size_t>(registry.gauge("cache.memory_bytes").Value());
   }
+  for (const auto& [name, summary] : result.summaries) {
+    stats.alias_pairs_added += summary.alias_pairs;
+    if (summary.degraded) ++stats.degraded_functions;
+    if (summary.truncated) ++stats.truncated_functions;
+  }
+  stats.functions_processed = result.summaries.size();
   if (events.enabled()) {
     events.Emit(
         obs::Event("phase_end")
             .Str("phase", "summary")
-            .Double("duration_ms", analysis.stats.summary_seconds * 1e3)
+            .Double("duration_ms", stats.summary_seconds * 1e3)
             .Num("functions", static_cast<uint64_t>(order.size()))
-            .Num("cache_hits",
-                 static_cast<uint64_t>(analysis.stats.cache_hits))
-            .Num("cache_misses",
-                 static_cast<uint64_t>(analysis.stats.cache_misses)));
+            .Num("cache_hits", static_cast<uint64_t>(stats.cache_hits))
+            .Num("cache_misses", static_cast<uint64_t>(stats.cache_misses)));
+  }
+  registry.counter("summary.functions").Add(stats.functions_processed);
+  registry.counter("summary.degraded").Add(stats.degraded_functions);
+  registry.counter("alias.pairs_added").Add(stats.alias_pairs_added);
+  return result;
+}
+
+ProgramAnalysis Link(const Program& program, const CallGraph& graph,
+                     BaseSummaries base, const InterprocConfig& config) {
+  ProgramAnalysis analysis;
+  analysis.stats = std::move(base.stats);
+  InterprocStats& stats = analysis.stats;
+  obs::Tracer& tracer = obs::Tracer::Global();
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  obs::EventStream& events = obs::EventStream::Global();
+  if (events.enabled()) {
     events.Emit(obs::Event("phase_begin").Str("phase", "link"));
   }
 
-  // Phase 2: linking, sequential in bottom-up order (each caller needs
-  // its callees' already-linked summaries).
+  // Sequential in bottom-up order: each caller needs its callees'
+  // linked summaries. Each base map node moves into the result.
   obs::Span link_span(tracer, "phase", "link");
   obs::Stopwatch link_watch;
-  for (size_t order_index = 0; order_index < order.size(); ++order_index) {
-    const std::string& name = order[order_index];
+  for (const std::string& name : graph.BottomUpOrder()) {
     const Function* fn = program.FindFunction(name);
-    if (!fn) continue;
+    auto node = base.summaries.extract(name);
+    if (!fn || node.empty()) continue;
+    FunctionSummary& summary = node.mapped();
 
-    FunctionSummary summary = std::move(base[order_index]);
-
-    // Step 2 (alias recognition) already ran in phase 1; fold its
-    // per-function count into the program stats.
-    analysis.stats.alias_pairs_added += summary.alias_pairs;
-
-    // Step 3: link against already-processed callees (Algorithm 2).
+    // Link against already-processed callees (Algorithm 2).
     std::vector<DefPair> imported_defs;
     std::vector<UseRecord> imported_uses;
     for (const CallEvent& call : summary.calls) {
@@ -368,14 +387,14 @@ ProgramAnalysis RunBottomUp(const Program& program, const CallGraph& graph,
               touched = true;
             }
             if (touched) {
-              ++analysis.stats.rets_replaced;
+              ++stats.rets_replaced;
               if (callee_ret_degraded) dp.degraded = true;
             }
           }
           for (SymRef& rv : summary.return_values) {
             if (rv && rv->Contains(ret_sym)) {
               rv = SymExpr::Replace(rv, ret_sym, ret_value);
-              ++analysis.stats.rets_replaced;
+              ++stats.rets_replaced;
               if (callee_ret_degraded) summary.ret_degraded = true;
             }
           }
@@ -395,7 +414,7 @@ ProgramAnalysis RunBottomUp(const Program& program, const CallGraph& graph,
           linked.degraded = dp->degraded || callee.degraded;
           imported_defs.push_back(std::move(linked));
           ++imported;
-          ++analysis.stats.defs_propagated;
+          ++stats.defs_propagated;
         }
 
         // -- ForwardUndefinedUse: lift unresolved uses into the caller -
@@ -410,7 +429,7 @@ ProgramAnalysis RunBottomUp(const Program& program, const CallGraph& graph,
           lifted.path_id = call.path_id;
           imported_uses.push_back(std::move(lifted));
           ++forwarded;
-          ++analysis.stats.uses_forwarded;
+          ++stats.uses_forwarded;
         }
       }
     }
@@ -422,10 +441,7 @@ ProgramAnalysis RunBottomUp(const Program& program, const CallGraph& graph,
         std::make_move_iterator(imported_uses.begin()),
         std::make_move_iterator(imported_uses.end()));
 
-    ++analysis.stats.functions_processed;
-    if (summary.degraded) ++analysis.stats.degraded_functions;
-    if (summary.truncated) ++analysis.stats.truncated_functions;
-    analysis.summaries.emplace(name, std::move(summary));
+    analysis.summaries.insert(std::move(node));
   }
   link_span.Finish();
   if (events.enabled()) {
@@ -434,9 +450,9 @@ ProgramAnalysis RunBottomUp(const Program& program, const CallGraph& graph,
             .Str("phase", "link")
             .Double("duration_ms", link_watch.Seconds() * 1e3)
             .Num("defs_propagated",
-                 static_cast<uint64_t>(analysis.stats.defs_propagated))
+                 static_cast<uint64_t>(stats.defs_propagated))
             .Num("uses_forwarded",
-                 static_cast<uint64_t>(analysis.stats.uses_forwarded)));
+                 static_cast<uint64_t>(stats.uses_forwarded)));
   }
 
   if (config.apply_alias && config.alias_mode == AliasMode::kOnDemandSSE) {
@@ -444,44 +460,27 @@ ProgramAnalysis RunBottomUp(const Program& program, const CallGraph& graph,
         std::make_shared<OnDemandAliasOracle>(config.budget);
   }
 
-  registry.counter("summary.functions").Add(analysis.stats.functions_processed);
-  registry.counter("summary.degraded").Add(analysis.stats.degraded_functions);
-  registry.counter("link.defs_propagated").Add(analysis.stats.defs_propagated);
-  registry.counter("link.uses_forwarded").Add(analysis.stats.uses_forwarded);
-  registry.counter("link.rets_replaced").Add(analysis.stats.rets_replaced);
-  registry.counter("alias.pairs_added").Add(analysis.stats.alias_pairs_added);
-  // Expression-interner counters cover this pass's factory traffic
-  // (worker pool included) once published.
+  registry.counter("link.defs_propagated").Add(stats.defs_propagated);
+  registry.counter("link.uses_forwarded").Add(stats.uses_forwarded);
+  registry.counter("link.rets_replaced").Add(stats.rets_replaced);
+  // Expression-interner counters cover the factory traffic since the
+  // last publish (Summarize's worker pool included).
   ExprInterner::Global().PublishMetrics();
   DTAINT_LOG(obs::LogLevel::kDebug, "interproc",
-             "pass done: %zu functions in %.3fs, %zu defs propagated, "
-             "%zu uses forwarded, %zu rets replaced, cache %zu/%zu hit/miss",
-             analysis.stats.functions_processed,
-             analysis.stats.summary_seconds, analysis.stats.defs_propagated,
-             analysis.stats.uses_forwarded, analysis.stats.rets_replaced,
-             analysis.stats.cache_hits, analysis.stats.cache_misses);
+             "linked %zu functions (summarized in %.3fs), %zu defs "
+             "propagated, %zu uses forwarded, %zu rets replaced, cache "
+             "%zu/%zu hit/miss",
+             stats.functions_processed, stats.summary_seconds,
+             stats.defs_propagated, stats.uses_forwarded, stats.rets_replaced,
+             stats.cache_hits, stats.cache_misses);
   return analysis;
 }
 
-std::vector<HotFunction> MergeHotFunctions(std::vector<HotFunction> a,
-                                           const std::vector<HotFunction>& b,
-                                           size_t limit) {
-  for (const HotFunction& hot : b) {
-    auto it = std::find_if(a.begin(), a.end(), [&](const HotFunction& h) {
-      return h.name == hot.name;
-    });
-    if (it == a.end()) {
-      a.push_back(hot);
-    } else if (hot.seconds > it->seconds) {
-      *it = hot;
-    }
-  }
-  std::sort(a.begin(), a.end(), [](const HotFunction& x, const HotFunction& y) {
-    if (x.seconds != y.seconds) return x.seconds > y.seconds;
-    return x.name < y.name;
-  });
-  if (a.size() > limit) a.resize(limit);
-  return a;
+ProgramAnalysis RunBottomUp(const Program& program, const CallGraph& graph,
+                            const SymEngine& engine,
+                            const InterprocConfig& config) {
+  return Link(program, graph, Summarize(program, graph, engine, config),
+              config);
 }
 
 }  // namespace dtaint

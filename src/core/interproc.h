@@ -1,9 +1,9 @@
 // Bottom-up interprocedural data flow — paper §III-E, Algorithm 2.
 //
-// The call graph is traversed in post-order (callees before callers;
-// recursion handled by SCC condensation), and each function's
-// intraprocedural summary is *linked* against its already-processed
-// callees:
+// Summarize analyzes each function exactly once into a *base* summary
+// that no call-graph edge can change. Link traverses a call graph in
+// post-order (callees before callers; recursion handled by SCC
+// condensation) and links each base summary against its linked callees:
 //
 //  * ret_{callsite} symbols are replaced by the callee's actual return
 //    value (ReplaceRetVariable); heap pointers returned by callees get
@@ -16,9 +16,10 @@
 //  * the callee's undefined uses are likewise rewritten and forwarded
 //    to the caller (ForwardUndefinedUse).
 //
-// Every function's symbolic analysis runs exactly once; linking is a
-// cheap substitution pass. This is the structural reason DTaint's DDG
-// generation beats the top-down worklist baseline (paper Table VII).
+// Linking is a cheap substitution pass; after indirect-call resolution
+// DTaint links the same base summaries again. This is the structural
+// reason DTaint's DDG generation beats the top-down worklist baseline
+// (paper Table VII).
 #pragma once
 
 #include <cstdint>
@@ -55,16 +56,10 @@ struct InterprocConfig {
   /// Cap on defs/uses imported per callsite (keeps linking linear on
   /// pathological fan-in).
   size_t max_imported_per_callsite = 256;
-  /// Worker threads for the intraprocedural phase. Per-function
-  /// symbolic analyses are independent (results are identical for any
-  /// thread count — tested by the differential suite). Since the
-  /// expression interner landed (src/symexec/intern.h) the per-function
-  /// work no longer hammers the allocator — equality is a pointer
-  /// compare and factory hits allocate nothing — so extra threads pay
-  /// off on multi-core hosts; bench/scaling_threads measures the
-  /// sequential-vs-N speedup of the summary phase. Set to the core
-  /// count for large binaries/fleets. 1 = sequential (default, and the
-  /// right choice on single-core hosts).
+  /// Worker threads for Summarize. Per-function analyses are
+  /// independent, and results are identical for any thread count (the
+  /// differential suite tests it); bench/scaling_threads measures the
+  /// speedup. 1 = sequential (the default).
   int num_threads = 1;
   /// Optional persistent function-summary cache (off by default). When
   /// set, the intraprocedural phase looks up each function's summary by
@@ -84,15 +79,14 @@ struct InterprocConfig {
 };
 
 /// One entry of the hot-function profile: where summary-production time
-/// went (paper Tables VI/VII ask exactly this question per phase; this
-/// answers it per function, which is what decides where summarization
-/// or caching pays off).
+/// went, per function (paper Tables VI/VII ask it per phase).
 struct HotFunction {
   std::string name;
   double seconds = 0.0;
   bool cached = false;  // summary served by the cache, not recomputed
 };
 
+/// Summarize fills every field but the three link counters Link adds.
 struct InterprocStats {
   /// Wall time of phase 1 — per-function summary production (symbolic
   /// analysis + alias rewrite, or a cache hit). This is exactly the
@@ -104,20 +98,15 @@ struct InterprocStats {
   size_t uses_forwarded = 0;
   size_t rets_replaced = 0;
   size_t alias_pairs_added = 0;
-  /// Summary-cache counters for this pass (zero when no cache is
-  /// configured). Hits + misses = functions looked up. Compatibility
-  /// view: since the obs layer landed these are populated from the
-  /// metrics registry ("cache.*" counters, which the cache itself
-  /// increments), not read off the cache — proven equal to the cache's
-  /// own CacheStats by the obs test suite. hits/misses are deltas for
-  /// this pass; evictions is the registry's lifetime total (identical
-  /// to the legacy semantics when one cache is shared, the supported
-  /// configuration); memory_bytes is the "cache.memory_bytes" gauge.
+  /// Summary-cache traffic of phase 1 (zero without a cache), read from
+  /// the registry's "cache.*" counters the cache increments (obs_test
+  /// proves them equal to CacheStats): hits + misses = functions looked
+  /// up, evictions is the lifetime total of the shared cache.
   size_t cache_hits = 0;
   size_t cache_misses = 0;
   size_t cache_evictions = 0;   // lifetime evictions of the shared cache
-  size_t cache_memory_bytes = 0;  // in-memory tier footprint after the pass
-  /// Top functions by summary-production time this pass, most expensive
+  size_t cache_memory_bytes = 0;  // in-memory tier footprint after phase 1
+  /// Top functions by summary-production time, most expensive
   /// first (bounded by InterprocConfig::hot_function_count).
   std::vector<HotFunction> hot_functions;
   /// Functions that exhausted their budget (or hit an injected summary
@@ -131,31 +120,42 @@ struct InterprocStats {
   std::vector<Incident> incidents;
 };
 
-/// Whole-program analysis state after the bottom-up pass: per-function
-/// linked summaries (def pairs now include inherited callee effects).
+/// Phase-1 output: each function's base summary (symbolic analysis plus
+/// the eager alias rewrite, before any linking), by name, and the
+/// phase's stats. Link consumes it; keep a copy to link again.
+struct BaseSummaries {
+  std::map<std::string, FunctionSummary> summaries;
+  InterprocStats stats;
+};
+
+/// Whole-program analysis state after linking: per-function linked
+/// summaries (def pairs now include inherited callee effects).
 struct ProgramAnalysis {
   std::map<std::string, FunctionSummary> summaries;
   InterprocStats stats;
-  /// Set iff the pass ran with AliasMode::kOnDemandSSE: the memoized
+  /// Set iff linking ran with AliasMode::kOnDemandSSE: the memoized
   /// alias-query oracle consumers (pathfinder, structsim) share.
   /// Null in eager mode — callers treat "no oracle" as "twins already
   /// materialized in the summaries".
   std::shared_ptr<OnDemandAliasOracle> alias_oracle;
 };
 
-/// Runs intraprocedural symbolic analysis (once per function, in
-/// bottom-up call-graph order) and links summaries per Algorithm 2.
-/// `graph` must be built over `program` (with indirect calls resolved
-/// beforehand if structure-similarity resolution is enabled).
+/// Phase 1: analyzes every function of `program` once, in `graph`'s
+/// bottom-up order. Budget-exhausted functions get the degraded
+/// summary and an Incident.
+BaseSummaries Summarize(const Program& program, const CallGraph& graph,
+                        const SymEngine& engine,
+                        const InterprocConfig& config = {});
+
+/// Phase 2: links `base` per Algorithm 2 over `graph`, built over
+/// `program` after any indirect-call resolution that is to carry flow.
+/// The result's stats are `base.stats` plus the link counters.
+ProgramAnalysis Link(const Program& program, const CallGraph& graph,
+                     BaseSummaries base, const InterprocConfig& config = {});
+
+/// Link(Summarize(...)): both phases over one call graph.
 ProgramAnalysis RunBottomUp(const Program& program, const CallGraph& graph,
                             const SymEngine& engine,
                             const InterprocConfig& config = {});
-
-/// Merges two hot-function profiles (e.g. the two bottom-up passes of
-/// one analysis): per function the larger time wins; result sorted
-/// descending and truncated to `limit`.
-std::vector<HotFunction> MergeHotFunctions(std::vector<HotFunction> a,
-                                           const std::vector<HotFunction>& b,
-                                           size_t limit);
 
 }  // namespace dtaint

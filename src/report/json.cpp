@@ -156,7 +156,7 @@ std::string ReportToJson(const AnalysisReport& report) {
 
   json.Key("hot_functions");
   json.BeginArray();
-  for (const HotFunction& hot : report.hot_functions) {
+  for (const HotFunction& hot : report.interproc_stats.hot_functions) {
     json.BeginObject();
     json.Key("name");
     json.String(hot.name);

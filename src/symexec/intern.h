@@ -77,7 +77,7 @@ class ExprInterner {
   /// Pushes counter deltas since the last publish into the global
   /// metrics registry ("intern.nodes", "intern.hits", "intern.bytes",
   /// "intern.contended" — contention is counted per shard and exported
-  /// in aggregate). Called by RunBottomUp / DTaint::Analyze so the
+  /// in aggregate). Called by Summarize, Link and DTaint::Analyze so the
   /// interner participates in each report's metrics object.
   void PublishMetrics();
 

@@ -11,6 +11,13 @@ bool IsPtrReturningSource(const std::string& source) {
          source == "find_var";
 }
 
+/// Sources that write attacker bytes into the buffer passed as their
+/// second argument: source(fd, buf, len).
+bool IsBufferFillingSource(const std::string& source) {
+  return source == "recv" || source == "read" || source == "recvfrom" ||
+         source == "recvmsg";
+}
+
 /// Sinks whose dangerous parameter is a length (vs string contents).
 bool IsLengthSink(const std::string& sink) {
   return sink == "memcpy" || sink == "strncpy";
@@ -104,8 +111,7 @@ bool CodeGen::EmitSource(FnBuilder& b, const std::string& source) {
     b.MovR(r_.s0, r_.rv);
     return true;
   }
-  if (source == "recv" || source == "read" || source == "recvfrom" ||
-      source == "recvmsg") {
+  if (IsBufferFillingSource(source)) {
     b.AddI(r_.s0, kRegSp, 0x40);  // buf on the frame
     b.MovI(r_.a0, 3);             // fd
     b.MovR(r_.a1, r_.s0);
@@ -587,6 +593,15 @@ Status CodeGen::EmitCrossCallAlias(const PlantSpec& plant) {
 }
 
 Status CodeGen::EmitPlant(const PlantSpec& plant) {
+  // The other plants call the source as a buffer filler; a source that
+  // fills none would leave ground truth for a flow the binary lacks.
+  if (plant.pattern != VulnPattern::kDirect &&
+      plant.pattern != VulnPattern::kWrapper &&
+      !IsBufferFillingSource(plant.source)) {
+    return Unsupported("source " + plant.source + " fills no buffer in a " +
+                       std::string(VulnPatternName(plant.pattern)) +
+                       " plant");
+  }
   switch (plant.pattern) {
     case VulnPattern::kDirect:
       return EmitDirect(plant);

@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "src/cache/summary_cache.h"
+#include "src/cache/summary_codec.h"
 #include "src/core/dtaint.h"
 #include "src/report/json.h"
 #include "src/report/scoring.h"
@@ -92,7 +93,6 @@ std::string NormalizedJson(AnalysisReport report) {
   report.interproc_stats.rets_replaced = 0;
   report.interproc_stats.alias_pairs_added = 0;
   report.pathfinder_stats.paths_explored = 0;
-  report.hot_functions.clear();
   report.metrics = obs::MetricsSnapshot{};
   return ReportToJson(report);
 }
@@ -267,6 +267,75 @@ TEST(AliasDifferential, CrossCallFamilyIsDeterministicAcrossThreads) {
               reference)
         << "num_threads=" << threads;
   }
+}
+
+// ---------- re-linking reuses the phase-1 summaries -------------------------
+
+/// The linked analysis as bytes: each summary's codec encoding plus a
+/// normalized report of the link stats and the findings on top of it.
+std::string LinkedBytes(const Program& program,
+                        const ProgramAnalysis& analysis) {
+  std::string bytes;
+  for (const auto& [name, summary] : analysis.summaries) {
+    std::vector<uint8_t> blob = EncodeSummary(summary);
+    bytes += name + ":" + std::string(blob.begin(), blob.end()) + "\n";
+  }
+  PathFinder finder(program, analysis);
+  AnalysisReport report;
+  report.interproc_stats = analysis.stats;
+  for (TaintPath& path : FilterVulnerable(finder.FindAll())) {
+    report.findings.push_back({std::move(path)});
+  }
+  report.pathfinder_stats = finder.stats();
+  return bytes + NormalizedJson(std::move(report));
+}
+
+TEST(AliasDifferential, RelinkFromBaseSummariesEqualsFreshBottomUp) {
+  // DTaint links the phase-1 summaries a second time after indirect-call
+  // resolution; that must equal summarizing and linking from scratch
+  // over the resolved call graph.
+  std::vector<Binary> binaries;
+  std::vector<Binary> corpus = BuildCorpus();
+  for (size_t i = 0; i < corpus.size(); ++i) {
+    if ((i / 2) % 5 == static_cast<size_t>(VulnPattern::kDispatch)) {
+      binaries.push_back(corpus[i]);
+    }
+  }
+  for (SynthOutput& out : BuildCrossCallFamily()) {
+    binaries.push_back(std::move(out.binary));
+  }
+  ASSERT_EQ(binaries.size(), 6u);
+  size_t relinked = 0;
+  for (const Binary& binary : binaries) {
+    for (AliasMode mode : {AliasMode::kEager, AliasMode::kOnDemandSSE}) {
+      for (int threads : {1, 2}) {
+        Program program = CfgBuilder(binary).BuildProgram().value();
+        SymEngine engine(binary);
+        InterprocConfig config;
+        config.alias_mode = mode;
+        config.num_threads = threads;
+        CallGraph graph = CallGraph::Build(program);
+        BaseSummaries base = Summarize(program, graph, engine, config);
+        ProgramAnalysis first = Link(program, graph, base, config);
+        if (ResolveIndirectCalls(program, first.summaries,
+                                 first.alias_oracle.get())
+                .empty()) {
+          continue;
+        }
+        ++relinked;
+        CallGraph resolved = CallGraph::Build(program);
+        EXPECT_EQ(LinkedBytes(program,
+                              Link(program, resolved, std::move(base), config)),
+                  LinkedBytes(program,
+                              RunBottomUp(program, resolved, engine, config)))
+            << binary.soname << " mode=" << AliasModeName(mode)
+            << " threads=" << threads;
+      }
+    }
+  }
+  // Every dispatch binary resolves in both modes; the cross-call pair
+  // only under the on-demand oracle.
+  EXPECT_EQ(relinked, 20u);
 }
 
 }  // namespace

@@ -83,7 +83,6 @@ std::string NormalizedJson(AnalysisReport report) {
   report.interproc_stats.cache_evictions = 0;
   report.interproc_stats.cache_memory_bytes = 0;
   report.interproc_stats.hot_functions.clear();
-  report.hot_functions.clear();
   report.metrics = obs::MetricsSnapshot{};
   return ReportToJson(report);
 }
@@ -137,9 +136,9 @@ TEST(CacheDifferential, ColdWarmAndCorruptedRunsAreByteIdentical) {
   CacheConfig cache_config;
   cache_config.disk_dir = dir.string();
 
-  // Populating run: misses store entries; the second bottom-up pass
-  // (after indirect-call resolution) already replays decoded blobs, so
-  // this run also proves decode(encode(x)) is analysis-equivalent to x.
+  // Populating run: misses store entries. The warm run below replays
+  // every decoded blob, so it proves decode(encode(x)) is
+  // analysis-equivalent to x.
   {
     SummaryCache cache(cache_config);
     for (size_t i = 0; i < corpus.size(); ++i) {

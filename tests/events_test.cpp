@@ -194,6 +194,43 @@ TEST(EventStream, PipelineEmitsDeterministicCountsAcrossRuns) {
   EXPECT_GT(findings1, 0u);
 }
 
+TEST(EventStream, RelinkedBinarySummarizesEachFunctionOnce) {
+  // A dispatch plant's handler is reachable only through an indirect
+  // call that structure similarity resolves, so this binary is linked
+  // twice; its functions must still be summarized once each.
+  ProgramSpec spec;
+  spec.name = "relink";
+  spec.arch = Arch::kDtArm;
+  spec.seed = 43;
+  spec.filler_functions = 20;
+  PlantSpec p;
+  p.id = "d1";
+  p.pattern = VulnPattern::kDispatch;
+  p.source = "recv";
+  p.sink = "memcpy";
+  spec.plants.push_back(p);
+  auto synth = SynthesizeBinary(spec);
+  ASSERT_TRUE(synth.ok()) << synth.status().ToString();
+
+  fs::path path = ArtifactDir() / "relink_once.ndjson";
+  obs::EventStream& events = obs::EventStream::Global();
+  ASSERT_TRUE(events.Open(path.string(), "events_test"));
+  auto report = DTaint().Analyze(synth->binary);
+  events.Close("ok");
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ASSERT_GT(report->indirect_calls_resolved, 0u);
+
+  const size_t functions = report->analyzed_functions;
+  EXPECT_EQ(report->metrics.CounterValue("summary.functions_done"),
+            functions);
+  auto micros = report->metrics.histograms.find("summary.function_micros");
+  ASSERT_NE(micros, report->metrics.histograms.end());
+  EXPECT_EQ(micros->second.count, functions);
+  std::map<std::string, uint64_t> counts = CountsFromFile(path);
+  EXPECT_EQ(counts["function_begin"], functions);
+  EXPECT_EQ(counts["function_end"], functions);
+}
+
 TEST(EventStream, DisabledStreamEmitsNothingAndCountsZero) {
   obs::EventStream stream;
   EXPECT_FALSE(stream.enabled());

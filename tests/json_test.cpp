@@ -91,7 +91,7 @@ TEST(JsonReport, MetricsObjectEmbedsPerRunSnapshot) {
   report.pathfinder_stats.sinks_visited = 4;
   report.pathfinder_stats.paths_explored = 9;
   report.pathfinder_stats.paths_found = 2;
-  report.hot_functions = {{"hot_fn", 0.25, false}};
+  report.interproc_stats.hot_functions = {{"hot_fn", 0.25, false}};
 
   std::string json = ReportToJson(report);
   auto parsed = ParseJson(json);

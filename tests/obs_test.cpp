@@ -546,11 +546,11 @@ TEST(ReportObservability, HotFunctionsAndPathStats) {
 
   // Hot-function profile: bounded, sorted descending by time, and
   // populated (the binary has > 10 functions).
-  ASSERT_FALSE(report->hot_functions.empty());
-  EXPECT_LE(report->hot_functions.size(), 10u);
-  for (size_t i = 1; i < report->hot_functions.size(); ++i) {
-    EXPECT_GE(report->hot_functions[i - 1].seconds,
-              report->hot_functions[i].seconds);
+  ASSERT_FALSE(report->interproc_stats.hot_functions.empty());
+  EXPECT_LE(report->interproc_stats.hot_functions.size(), 10u);
+  for (size_t i = 1; i < report->interproc_stats.hot_functions.size(); ++i) {
+    EXPECT_GE(report->interproc_stats.hot_functions[i - 1].seconds,
+              report->interproc_stats.hot_functions[i].seconds);
   }
 
   // Path-search effort flowed into the report; the planted vuln means
@@ -571,15 +571,25 @@ TEST(ReportObservability, HotFunctionsAndPathStats) {
   EXPECT_GT(micros->second.count, 0u);
 }
 
-TEST(ReportObservability, MergeHotFunctions) {
-  std::vector<HotFunction> a = {{"f1", 3.0, false}, {"f2", 1.0, false}};
-  std::vector<HotFunction> b = {{"f2", 2.0, true}, {"f3", 0.5, true}};
-  std::vector<HotFunction> merged = MergeHotFunctions(a, b, 2);
-  ASSERT_EQ(merged.size(), 2u);
-  EXPECT_EQ(merged[0].name, "f1");
-  EXPECT_EQ(merged[1].name, "f2");
-  EXPECT_DOUBLE_EQ(merged[1].seconds, 2.0);  // larger time wins
-  EXPECT_TRUE(merged[1].cached);
+TEST(ReportObservability, BinarySpanIsNamedAfterTheSoname) {
+  // A short soname lives in the string's inline buffer, which a move
+  // clears; the span must not read the name out of the moved report.
+  Binary binary = SynthesizeSmallBinary();
+  binary.soname = "httpd";
+  obs::Tracer& tracer = obs::Tracer::Global();
+  tracer.Start();
+  auto report = DTaint().Analyze(binary);
+  tracer.Stop();
+  ASSERT_TRUE(report.ok());
+  auto parsed = ParseJson(tracer.ToChromeJson());
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  std::vector<std::string> names;
+  for (const JsonValue& event : parsed->Find("traceEvents")->array()) {
+    if (event.Find("cat")->string() == "binary") {
+      names.push_back(event.Find("name")->string());
+    }
+  }
+  EXPECT_EQ(names, std::vector<std::string>{"httpd"});
 }
 
 TEST(Stopwatch, MeasuresElapsedTime) {

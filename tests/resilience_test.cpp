@@ -36,7 +36,9 @@ class ResilienceTest : public ::testing::Test {
   void TearDown() override { FaultPlan::Global().Clear(); }
 };
 
-SynthOutput MixedProgram(uint64_t seed = 77) {
+/// `with_dispatch` adds a plant only structure similarity reaches, so
+/// the binary is linked a second time after indirect-call resolution.
+SynthOutput MixedProgram(uint64_t seed = 77, bool with_dispatch = false) {
   ProgramSpec spec;
   spec.name = "resil";
   spec.arch = Arch::kDtArm;
@@ -58,6 +60,10 @@ SynthOutput MixedProgram(uint64_t seed = 77) {
       plant("r3", VulnPattern::kAliasChain, "recv", "strcpy"),
       plant("r4", VulnPattern::kDirect, "getenv", "system", true),
   };
+  if (with_dispatch) {
+    spec.plants.push_back(
+        plant("r5", VulnPattern::kDispatch, "recv", "memcpy"));
+  }
   return std::move(*SynthesizeBinary(spec));
 }
 
@@ -398,16 +404,22 @@ TEST_F(ResilienceTest, InjectedLiftFaultIsIsolatedToOneFunction) {
 }
 
 TEST_F(ResilienceTest, InjectedSummaryFaultDegradesExactlyOneFunction) {
-  SynthOutput out = MixedProgram();
-  ASSERT_TRUE(FaultPlan::Global().InstallSpec("summary@fill").ok());
-  auto report = DTaint().Analyze(out.binary);
-  ASSERT_TRUE(report.ok());
-  EXPECT_EQ(report->degraded_functions, 1u);
-  ASSERT_EQ(report->incidents.size(), 1u);
-  EXPECT_EQ(report->incidents[0].phase, "summary");
-  EXPECT_EQ(report->incidents[0].budget.exhausted_by,
-            BudgetExhaustion::kInjected);
-  EXPECT_FALSE(report->complete);
+  // With the dispatch plant the re-link reuses the phase-1 summaries,
+  // so the one-shot fault's degradation survives it.
+  for (bool with_dispatch : {false, true}) {
+    SCOPED_TRACE(with_dispatch ? "relinked" : "linked once");
+    SynthOutput out = MixedProgram(77, with_dispatch);
+    ASSERT_TRUE(FaultPlan::Global().InstallSpec("summary@fill").ok());
+    auto report = DTaint().Analyze(out.binary);
+    ASSERT_TRUE(report.ok());
+    EXPECT_EQ(report->indirect_calls_resolved > 0, with_dispatch);
+    EXPECT_EQ(report->degraded_functions, 1u);
+    ASSERT_EQ(report->incidents.size(), 1u);
+    EXPECT_EQ(report->incidents[0].phase, "summary");
+    EXPECT_EQ(report->incidents[0].budget.exhausted_by,
+              BudgetExhaustion::kInjected);
+    EXPECT_FALSE(report->complete);
+  }
 }
 
 TEST_F(ResilienceTest, InjectedPathfinderFaultFailsTheBinaryNotTheProcess) {

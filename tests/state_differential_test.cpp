@@ -84,7 +84,6 @@ std::string NormalizedJson(AnalysisReport report) {
   report.interproc_stats.cache_evictions = 0;
   report.interproc_stats.cache_memory_bytes = 0;
   report.interproc_stats.hot_functions.clear();
-  report.hot_functions.clear();
   report.metrics = obs::MetricsSnapshot{};
   return ReportToJson(report);
 }

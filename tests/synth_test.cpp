@@ -114,6 +114,24 @@ TEST(Synth, UnsupportedSourceFails) {
   auto out = SynthesizeBinary(spec);
   ASSERT_FALSE(out.ok());
   EXPECT_EQ(out.status().code(), StatusCode::kUnsupported);
+
+  // These plants call the source as source(fd, buf, len): a source that
+  // returns its bytes, or fgets (buffer first), would taint nothing the
+  // plant reads while the ground truth records a flow.
+  for (VulnPattern pattern :
+       {VulnPattern::kAliasChain, VulnPattern::kDispatch,
+        VulnPattern::kLoopCopy, VulnPattern::kCrossCallAlias}) {
+    spec.plants[0].pattern = pattern;
+    spec.plants[0].sink = "memcpy";
+    for (const char* source : {"getenv", "websGetVar", "find_var", "fgets"}) {
+      spec.plants[0].source = source;
+      out = SynthesizeBinary(spec);
+      ASSERT_FALSE(out.ok()) << VulnPatternName(pattern) << " " << source;
+      EXPECT_EQ(out.status().code(), StatusCode::kUnsupported);
+    }
+    spec.plants[0].source = "recv";
+    EXPECT_TRUE(SynthesizeBinary(spec).ok()) << VulnPatternName(pattern);
+  }
 }
 
 TEST(Synth, ProgramIsWellFormed) {
