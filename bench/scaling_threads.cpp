@@ -16,19 +16,13 @@
 // 4 threads) is only enforced when the host actually has >= 4 cores —
 // on a single-core box the bench still runs, still checks determinism,
 // and prints the per-point numbers with an honest note.
-// `--legacy` re-runs the sweep with interning disabled (the old
-// heap-allocating expressions) for a direct before/after on the same
-// host and corpus.
 #include <cstdio>
-#include <cstring>
 #include <thread>
 #include <vector>
 
 #include "src/core/dtaint.h"
 #include "src/obs/bench.h"
 #include "src/report/table.h"
-#include "src/symexec/intern.h"
-#include "src/symexec/symstate.h"
 #include "src/synth/firmware_synth.h"
 #include "src/util/strings.h"
 
@@ -88,20 +82,8 @@ void Sweep(const std::vector<Binary>& corpus, int num_threads,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool legacy = false;
-  bool legacy_state = false;
-  for (int i = 1; i < argc; ++i) {
-    legacy = legacy || std::strcmp(argv[i], "--legacy") == 0;
-    legacy_state =
-        legacy_state || std::strcmp(argv[i], "--legacy-state") == 0;
-  }
-  ScopedExprInterning toggle(!legacy);
-  ScopedStateCow state_toggle(!legacy_state);
-  bench::Harness harness(legacy ? "scaling_threads_legacy"
-                                : "scaling_threads",
-                         argc, argv);
-  std::printf("=== Thread scaling: summary phase, 1/2/4/8 workers%s ===\n\n",
-              legacy ? " (LEGACY: interning off)" : "");
+  bench::Harness harness("scaling_threads", argc, argv);
+  std::printf("=== Thread scaling: summary phase, 1/2/4/8 workers ===\n\n");
   unsigned cores = std::thread::hardware_concurrency();
   std::vector<Binary> corpus = BuildCorpus();
   // Median-of-3 by summary time per point — one noisy scheduler tick

@@ -17,7 +17,9 @@
 // detection failure.
 //
 //   --deadline-ms MS / --max-steps N / --max-states N /
-//   --max-expr-nodes N   per-function analysis budget (0 = unlimited)
+//   --max-expr-nodes N   per-function analysis budget (0 = unlimited);
+//                        expr nodes counts the symbolic expressions a
+//                        function's analysis builds
 //   --alias-mode MODE    "eager" (Algorithm 1 up-front rewrite) or
 //                        "ondemand" (lazy SSE queries over linked
 //                        summaries; also resolves indirect calls
@@ -185,7 +187,8 @@ void PrintUsage() {
       "  --cache-dir DIR      persistent function-summary cache\n"
       "  --alias-mode MODE    eager | ondemand\n"
       "  --deadline-ms MS / --max-steps N / --max-states N /\n"
-      "  --max-expr-nodes N   per-function analysis budget (0 = off)\n"
+      "  --max-expr-nodes N   per-function analysis budget (0 = off);\n"
+      "                       expr nodes = symbolic expressions built\n"
       "  --corrupt K          corrupt first K extractable images\n"
       "  --fail-fast          stop at the first incident, exit nonzero\n"
       "\n"

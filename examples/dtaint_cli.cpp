@@ -12,6 +12,10 @@
 //              [--deadline-ms MS] [--max-steps N] [--max-states N]
 //              [--max-expr-nodes N] [--fail-fast]
 //
+// The budget flags bound each function's analysis: wall clock, symbolic
+// steps, queued states, and (--max-expr-nodes) the symbolic expressions
+// it builds. A function that exceeds one gets a degraded summary.
+//
 // --alias-mode selects how pointer aliases are recognized: "eager"
 // (the paper's Algorithm 1, summaries rewritten up front) or
 // "ondemand" (lazy SSE comparison against linked summaries, which
@@ -383,6 +387,8 @@ int main(int argc, char** argv) {
                  "       [--threads N] [--cache-dir DIR] [--deadline-ms MS]\n"
                  "       [--max-steps N] [--max-states N]\n"
                  "       [--max-expr-nodes N] [--fail-fast]\n"
+                 "       (budgets are per function; --max-expr-nodes\n"
+                 "        counts the symbolic expressions it builds)\n"
                  "  all commands:\n"
                  "       [--log-level error|warn|info|debug]\n"
                  "       [--trace-out FILE] [--metrics-out FILE]\n"

@@ -3,7 +3,6 @@
 #include <map>
 #include <tuple>
 
-#include "src/symexec/intern.h"
 #include "src/util/hash.h"
 #include "src/util/strings.h"
 
@@ -25,14 +24,12 @@ constexpr int kMaxExprDepth = 512;
 // number of unique nodes instead of the fully-expanded tree, and the
 // decoder reconstructs the same sharing, so encode(decode(b)) == b.
 //
-// The identity used is the *canonical* (hash-consed) node: every
-// expression is routed through ExprInterner::Canonical before its
-// pointer enters the dedup maps. That makes the sharing structure — and
-// therefore the bytes — a function of the summary's value alone,
-// independent of how its expressions were built (interned factories,
-// the legacy heap path, or a decode of an older blob). The
-// interned-vs-legacy differential suite byte-compares encodings to hold
-// this line.
+// The identity used is the node pointer, and every node is canonical
+// (hash-consed by the ExprInterner). That makes the sharing structure —
+// and therefore the bytes — a function of the summary's value alone,
+// independent of how its expressions were built (engine factories or a
+// decode of an older blob). The golden digests of the differential
+// tests byte-compare encodings to hold this line.
 constexpr uint8_t kExprBackRef = 0xFF;
 
 class Writer {
@@ -55,14 +52,11 @@ class Writer {
     out_.insert(out_.end(), s.begin(), s.end());
   }
 
-  void Expr(const SymRef& raw) {
-    if (!raw) {
+  void Expr(const SymRef& e) {
+    if (!e) {
       U8(0);
       return;
     }
-    // Canonical identity: O(1) when already interned (the default),
-    // and an intern of the subtree for legacy/hand-built expressions.
-    SymRef e = ExprInterner::Global().Canonical(raw);
     auto it = expr_ids_.find(e.get());
     if (it != expr_ids_.end()) {
       U8(kExprBackRef);
@@ -156,14 +150,10 @@ class Writer {
   using ListKey = std::vector<ConstraintKey>;
 
   // Constraint dedup keys carry canonical expression pointers for the
-  // same reason Expr does: identical constraints must collide whether
-  // their expressions happen to share heap nodes or not.
+  // same reason Expr does: identical constraints must collide.
   static ConstraintKey KeyFor(const PathConstraint& c) {
-    ExprInterner& interner = ExprInterner::Global();
-    return ConstraintKey{static_cast<uint8_t>(c.op),
-                         c.lhs ? interner.Canonical(c.lhs).get() : nullptr,
-                         c.rhs ? interner.Canonical(c.rhs).get() : nullptr,
-                         c.taken, c.site};
+    return ConstraintKey{static_cast<uint8_t>(c.op), c.lhs.get(),
+                         c.rhs.get(), c.taken, c.site};
   }
 
   std::vector<uint8_t> out_;

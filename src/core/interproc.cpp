@@ -115,7 +115,7 @@ BaseSummaries Summarize(const Program& program, const CallGraph& graph,
   // Cache-served summaries carry zeros, so the counters reflect work
   // actually performed this run.
   obs::Counter& m_state_forks = registry.counter("engine.state_forks");
-  obs::Counter& m_cow_copies = registry.counter("engine.cow_copies");
+  obs::Counter& m_chunk_copies = registry.counter("engine.cow_copies");
   obs::Counter& m_overlay_spills = registry.counter("engine.overlay_spills");
   obs::Counter& m_memo_hits = registry.counter("engine.block_memo_hits");
   obs::Counter& m_memo_lookups = registry.counter("engine.block_memo_lookups");
@@ -206,7 +206,7 @@ BaseSummaries Summarize(const Program& program, const CallGraph& graph,
     fn_seconds[i] = watch.Seconds();
     const ExplorationStats& es = summary.engine_stats;
     m_state_forks.Add(es.state_forks);
-    m_cow_copies.Add(es.cow_chunk_copies);
+    m_chunk_copies.Add(es.chunk_copies);
     m_overlay_spills.Add(es.overlay_spills);
     m_memo_hits.Add(es.memo_hits);
     m_memo_lookups.Add(es.memo_lookups);

@@ -1,6 +1,6 @@
 #include "src/resilience/budget.h"
 
-#include "src/symexec/intern.h"
+#include "src/symexec/symexpr.h"
 
 namespace dtaint {
 
@@ -23,7 +23,9 @@ std::string_view BudgetExhaustionName(BudgetExhaustion cause) {
 }
 
 BudgetTracker::BudgetTracker(const AnalysisBudget& limits)
-    : limits_(limits), start_(std::chrono::steady_clock::now()) {}
+    : limits_(limits),
+      start_(std::chrono::steady_clock::now()),
+      expr_calls_at_start_(ThreadExprFactoryCalls()) {}
 
 bool BudgetTracker::ChargeStep() {
   ++steps_;
@@ -70,9 +72,7 @@ void BudgetTracker::SlowCheck() {
     }
   }
   if (limits_.max_expr_nodes > 0) {
-    // stats() sums 64 shards — fine at this cadence, too costly per
-    // step.
-    expr_nodes_seen_ = ExprInterner::Global().stats().nodes;
+    expr_nodes_seen_ = ThreadExprFactoryCalls() - expr_calls_at_start_;
     if (expr_nodes_seen_ >= limits_.max_expr_nodes) {
       cause_ = BudgetExhaustion::kExprNodes;
     }

@@ -6,9 +6,9 @@
 // state-exploding function stalling a corpus run. Following the SSE
 // follow-up work (arXiv:2109.12209), per-function effort is bounded by
 // an AnalysisBudget: wall-clock deadline, symbolic-step count, queued
-// symbolic states, and a process-wide interned-expression-node
-// ceiling. Hot loops in the symbolic engine and the alias pass charge
-// a BudgetTracker cooperatively; on exhaustion the function yields a
+// symbolic states, and the number of symbolic expressions built. Hot
+// loops in the symbolic engine and the alias pass charge a
+// BudgetTracker cooperatively; on exhaustion the function yields a
 // *conservative degraded summary* (see MakeDegradedSummary in
 // src/symexec/engine.h) instead of aborting the scan — the Sdft move
 // (arXiv:2111.04005) of substituting a sound summary when precise
@@ -16,9 +16,10 @@
 //
 // Semantics notes:
 //  * All limits default to 0 = unlimited; the tracker is a no-op then.
-//  * Step/state budgets are deterministic: the same function under the
-//    same limit always degrades at the same point. Deadline budgets
-//    are inherently wall-clock dependent; tests use step budgets.
+//  * Step, state and expression budgets are deterministic: the same
+//    function under the same limit always degrades at the same point.
+//    Deadline budgets are inherently wall-clock dependent; tests use
+//    step budgets.
 //  * A degraded summary is never written to the persistent cache, so a
 //    later run with a larger budget re-analyzes the function (the
 //    cache only ever holds full-effort results).
@@ -38,8 +39,9 @@ struct AnalysisBudget {
   uint64_t max_steps = 0;
   /// Symbolic states enqueued per function (path forks).
   uint64_t max_states = 0;
-  /// Ceiling on *process-wide* unique interned expression nodes; trips
-  /// when the interner grows past it while this function is analyzed.
+  /// Symbolic expressions built per function (SymExpr factory calls on
+  /// the analyzing thread, whether or not the interner already held
+  /// the node), so the limit does not depend on earlier work.
   uint64_t max_expr_nodes = 0;
 
   bool limited() const {
@@ -67,15 +69,16 @@ struct BudgetCounters {
   uint64_t steps = 0;
   uint64_t states = 0;
   double elapsed_ms = 0;
-  uint64_t expr_nodes = 0;  // interner population at the last check
+  uint64_t expr_nodes = 0;  // expressions built, as of the last check
   BudgetExhaustion exhausted_by = BudgetExhaustion::kNone;
 };
 
 /// Cooperative watchdog for one function's analysis. Owned by a single
 /// worker thread — not internally synchronized (each analysis in the
-/// phase-1 pool constructs its own). Charging is O(1); the clock and
-/// the interner (both comparatively expensive) are consulted only
-/// every kSlowCheckInterval steps.
+/// phase-1 pool constructs its own, on the thread that runs the
+/// analysis, which the expression count requires). Charging is O(1);
+/// the clock and the expression count are consulted only every
+/// kSlowCheckInterval steps.
 class BudgetTracker {
  public:
   explicit BudgetTracker(const AnalysisBudget& limits);
@@ -108,13 +111,14 @@ class BudgetTracker {
  private:
   static constexpr uint64_t kSlowCheckInterval = 1024;
 
-  /// Deadline + interner-population check, amortized over steps.
+  /// Deadline + expression-count check, amortized over steps.
   void SlowCheck();
 
   AnalysisBudget limits_;
   std::chrono::steady_clock::time_point start_;
   uint64_t steps_ = 0;
   uint64_t states_ = 0;
+  uint64_t expr_calls_at_start_ = 0;
   uint64_t expr_nodes_seen_ = 0;
   BudgetExhaustion cause_ = BudgetExhaustion::kNone;
 };

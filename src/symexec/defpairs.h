@@ -76,8 +76,8 @@ struct CallEvent {
 /// codec (cache blobs and their content-addressed fingerprints are
 /// unchanged; a cache-served summary reports zeros here).
 struct ExplorationStats {
-  uint64_t state_forks = 0;       // path forks (both representations)
-  uint64_t cow_chunk_copies = 0;  // register chunks cloned on write
+  uint64_t state_forks = 0;       // path forks
+  uint64_t chunk_copies = 0;      // register chunks cloned on write
   uint64_t overlay_spills = 0;    // overlay commits forced by capacity
   uint64_t trie_nodes = 0;        // memory-trie nodes allocated
   uint64_t memo_lookups = 0;      // block executions that probed the memo

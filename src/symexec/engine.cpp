@@ -265,13 +265,12 @@ class Exploration {
     for (const auto& [addr, block] : fn_.blocks) {
       block_index_.emplace(addr, static_cast<int>(block_index_.size()));
     }
-    bool cow = StateCowEnabled();
     // Memoization replays whole blocks; under a limited budget the
     // per-statement charge points ARE the observable behavior
     // (degradation must trip at the same statement), so it stays off.
     memo_enabled_ =
-        config_.block_memo && cow && !(budget_ && budget_->limits().limited());
-    if (cow) arena_ = std::make_shared<StateArena>();
+        config_.block_memo && !(budget_ && budget_->limits().limited());
+    arena_ = std::make_shared<StateArena>();
     SymState init = SymState::Entry(binary_.arch, arena_);
     init.path_id = next_path_id_++;
     work_.push_back({fn_.addr, std::move(init)});
@@ -286,12 +285,10 @@ class Exploration {
       work_.pop_back();
       ExecuteBlock(work.block_addr, std::move(work.state));
     }
-    if (arena_) {
-      summary_.engine_stats.cow_chunk_copies = arena_->stats.cow_chunk_copies;
-      summary_.engine_stats.overlay_spills = arena_->stats.overlay_spills;
-      summary_.engine_stats.trie_nodes = arena_->stats.trie_nodes;
-      summary_.engine_stats.arena_bytes = arena_->arena.bytes_reserved();
-    }
+    summary_.engine_stats.chunk_copies = arena_->stats.chunk_copies;
+    summary_.engine_stats.overlay_spills = arena_->stats.overlay_spills;
+    summary_.engine_stats.trie_nodes = arena_->stats.trie_nodes;
+    summary_.engine_stats.arena_bytes = arena_->arena.bytes_reserved();
   }
 
  private:
@@ -524,12 +521,12 @@ class Exploration {
       return;
     }
     int block_idx = BlockIndexOf(block_addr);
-    if (state.VisitedBlock(block_addr, block_idx)) {
+    if (state.VisitedBlock(block_idx)) {
       // Loop heuristic: a block is analyzed once per path.
       FinishPath(state);
       return;
     }
-    state.MarkVisited(block_addr, block_idx);
+    state.MarkVisited(block_idx);
     ++block_visits_;
     ++summary_.blocks_visited;
 

@@ -36,11 +36,11 @@ struct EngineConfig {
   /// Block-level transfer memoization: when a block's input footprint
   /// (the registers/memory it actually reads) matches a prior visit
   /// exactly, replay the recorded output delta instead of re-executing
-  /// its statements. Invisible to analysis results (the differential
-  /// oracle pins this), so deliberately NOT part of the engine cache
-  /// fingerprint. Auto-disabled under a limited AnalysisBudget and in
-  /// legacy-state mode, where exact step accounting / the original
-  /// execution order are the point.
+  /// its statements. Invisible to analysis results (the golden-report
+  /// test runs with it off as the in-process reference), so
+  /// deliberately NOT part of the engine cache fingerprint.
+  /// Auto-disabled under a limited AnalysisBudget, where exact step
+  /// accounting is the point.
   bool block_memo = true;
 };
 

@@ -12,8 +12,6 @@ namespace dtaint {
 
 namespace {
 
-std::atomic<bool> g_interning_enabled{true};
-
 /// Non-owning view of an immortal arena node: an aliasing shared_ptr
 /// with no control block. Copying it performs no atomic operations.
 SymRef NonOwningRef(const SymExpr* node) {
@@ -21,14 +19,6 @@ SymRef NonOwningRef(const SymExpr* node) {
 }
 
 }  // namespace
-
-bool ExprInterningEnabled() {
-  return g_interning_enabled.load(std::memory_order_relaxed);
-}
-
-void SetExprInterning(bool enabled) {
-  g_interning_enabled.store(enabled, std::memory_order_relaxed);
-}
 
 /// One lock stripe: an open-addressed pointer table plus the arena its
 /// nodes live in. Nodes are placement-new'd into arena blocks and never
@@ -126,11 +116,6 @@ SymRef ExprInterner::Intern(SymKind kind, uint64_t a, uint8_t size,
     }
   }
 
-  // Bottom-up invariant: children of an interned node are interned, so
-  // the shape key below can compare children by pointer.
-  if (lhs && !lhs->interned()) lhs = Canonical(lhs);
-  if (rhs && !rhs->interned()) rhs = Canonical(rhs);
-
   const uint64_t h = SymExpr::ShapeHash(kind, a, size, op, lhs.get(),
                                         rhs.get(), text);
   Shard& shard = ShardFor(h);
@@ -166,19 +151,10 @@ SymRef ExprInterner::Intern(SymKind kind, uint64_t a, uint8_t size,
   SymExpr* node = new (mem)
       SymExpr(kind, a, size, op, std::move(lhs), std::move(rhs),
               std::move(text), h);
-  node->interned_ = true;
   shard.slots[i] = {h, node};
   ++shard.used;
   if (leaf_slot) leaf_slot->store(node, std::memory_order_release);
   return NonOwningRef(node);
-}
-
-SymRef ExprInterner::Canonical(const SymRef& expr) {
-  if (!expr || expr->interned_) return expr;
-  SymRef lhs = expr->lhs_ ? Canonical(expr->lhs_) : nullptr;
-  SymRef rhs = expr->rhs_ ? Canonical(expr->rhs_) : nullptr;
-  return Intern(expr->kind_, expr->a_, expr->size_, expr->op_,
-                std::move(lhs), std::move(rhs), expr->text_);
 }
 
 InternStats ExprInterner::stats() const {

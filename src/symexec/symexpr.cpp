@@ -10,6 +10,8 @@ namespace dtaint {
 
 namespace {
 
+thread_local uint64_t t_factory_calls = 0;
+
 int64_t SignExt32(uint32_t v) {
   return static_cast<int64_t>(static_cast<int32_t>(v));
 }
@@ -68,15 +70,13 @@ SymExpr::SymExpr(SymKind kind, uint64_t a, uint8_t size, BinOp op,
            (rhs_ ? rhs_->bloom_ : 0);
 }
 
+uint64_t ThreadExprFactoryCalls() { return t_factory_calls; }
+
 SymRef SymExpr::Make(SymKind kind, uint64_t a, uint8_t size, BinOp op,
                      SymRef lhs, SymRef rhs, std::string text) {
-  if (ExprInterningEnabled()) {
-    return ExprInterner::Global().Intern(kind, a, size, op, std::move(lhs),
-                                         std::move(rhs), std::move(text));
-  }
-  uint64_t h = ShapeHash(kind, a, size, op, lhs.get(), rhs.get(), text);
-  return SymRef(new SymExpr(kind, a, size, op, std::move(lhs),
-                            std::move(rhs), std::move(text), h));
+  ++t_factory_calls;
+  return ExprInterner::Global().Intern(kind, a, size, op, std::move(lhs),
+                                       std::move(rhs), std::move(text));
 }
 
 SymRef SymExpr::Const(uint32_t value) {
@@ -140,20 +140,19 @@ SymRef SymExpr::Bin(BinOp op, SymRef lhs, SymRef rhs) {
 
 bool SymExpr::Equal(const SymRef& a, const SymRef& b) {
   if (a.get() == b.get()) return true;
-  if (!a || !b) return false;
-  if (a->interned_ && b->interned_) {
-    // Hash-consed nodes are canonical: distinct pointers are distinct
-    // structures. The deep walk survives as a differential check.
-    assert(!DeepEqual(*a, *b));
-    return false;
-  }
-  return DeepEqual(*a, *b);
+  // Hash-consed nodes are canonical: distinct pointers are distinct
+  // structures. The deep walk survives as a differential check.
+  assert(!a || !b || !DeepEqual(*a, *b));
+  return false;
 }
 
 bool SymExpr::DeepEqual(const SymExpr& a, const SymExpr& b) {
   if (&a == &b) return true;
   if (a.hash_ != b.hash_) return false;
-  if (!SameShallowFields(a, b)) return false;
+  if (a.kind_ != b.kind_ || a.a_ != b.a_ || a.size_ != b.size_ ||
+      a.op_ != b.op_ || a.text_ != b.text_) {
+    return false;
+  }
   return Equal(a.lhs_, b.lhs_) && Equal(a.rhs_, b.rhs_);
 }
 
@@ -175,14 +174,8 @@ bool SymExpr::Contains(const SymRef& needle) const {
 }
 
 bool SymExpr::ContainsImpl(const SymExpr& needle) const {
+  // Canonical nodes match by identity alone.
   if (this == &needle) return true;
-  // Interned nodes match by identity alone (checked above); a mixed or
-  // legacy pair falls back to the shared structural compare.
-  if (!(interned_ && needle.interned_) && hash_ == needle.hash_ &&
-      SameShallowFields(*this, needle) && Equal(lhs_, needle.lhs_) &&
-      Equal(rhs_, needle.rhs_)) {
-    return true;
-  }
   if (lhs_ && lhs_->MayContain(needle) && lhs_->ContainsImpl(needle)) {
     return true;
   }

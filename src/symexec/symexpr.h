@@ -13,8 +13,8 @@
 //   * Taint(site) — attacker-controlled bytes introduced by a source
 //                   library call at `site`
 //
-// Expressions are immutable, shared, and — by default — hash-consed
-// through the ExprInterner (src/symexec/intern.h): the factories return
+// Expressions are immutable, shared, and hash-consed through the
+// ExprInterner (src/symexec/intern.h): the factories return
 // the canonical node for each structure, so structural equality is a
 // pointer compare and Contains/Replace/taint queries short-circuit on
 // per-node flags cached at construction (a kind bitmask and a subtree
@@ -80,11 +80,6 @@ class SymExpr {
 
   uint64_t hash() const { return hash_; }
 
-  /// True when this node is the canonical hash-consed instance. Two
-  /// interned nodes are structurally equal iff they are the same
-  /// pointer.
-  bool interned() const { return interned_; }
-
   /// True if any node of kind `k` occurs in this expression (exact —
   /// the kind bitmask is unioned over the whole subtree at
   /// construction). The O(1) guard in front of kind-targeted rewrites
@@ -93,9 +88,9 @@ class SymExpr {
     return (kind_mask_ & KindBit(k)) != 0;
   }
 
-  /// Structural equality. O(1) for interned operands (pointer compare,
-  /// with the deep walk kept as a debug-build differential assert);
-  /// hash-gated deep comparison otherwise.
+  /// Structural equality: a pointer compare, since every node is
+  /// canonical (the deep walk is kept as a debug-build differential
+  /// assert).
   static bool Equal(const SymRef& a, const SymRef& b);
 
   /// Decomposes into (base, constant offset): `x` -> (x, 0),
@@ -137,10 +132,10 @@ class SymExpr {
  private:
   friend class ExprInterner;  // constructs nodes in its arena
 
-  /// `shape_hash` must be ShapeHash over the same fields — both callers
-  /// (the interner's miss path and the legacy factory) have already
-  /// computed it for the table probe, so the constructor takes it
-  /// instead of hashing twice (debug builds assert the match).
+  /// `shape_hash` must be ShapeHash over the same fields — the
+  /// interner's miss path has already computed it for the table probe,
+  /// so the constructor takes it instead of hashing twice (debug builds
+  /// assert the match).
   SymExpr(SymKind kind, uint64_t a, uint8_t size, BinOp op, SymRef lhs,
           SymRef rhs, std::string text, uint64_t shape_hash);
 
@@ -167,16 +162,9 @@ class SymExpr {
                             BinOp op, const SymExpr* lhs,
                             const SymExpr* rhs, std::string_view text);
 
-  /// Field-for-field comparison of two nodes excluding children — the
-  /// single shallow-compare both Equal and Contains build on (so the
-  /// two cannot drift).
-  static bool SameShallowFields(const SymExpr& x, const SymExpr& y) {
-    return x.kind_ == y.kind_ && x.a_ == y.a_ && x.size_ == y.size_ &&
-           x.op_ == y.op_ && x.text_ == y.text_;
-  }
-
-  /// Full structural walk, hash-gated. The reference semantics Equal's
-  /// pointer fast path must agree with (debug builds assert this).
+  /// Hash-gated field compare that recurses through Equal, so in debug
+  /// builds the assert reaches every level: the reference semantics
+  /// Equal's pointer compare must agree with.
   static bool DeepEqual(const SymExpr& a, const SymExpr& b);
 
   bool ContainsImpl(const SymExpr& needle) const;
@@ -184,7 +172,6 @@ class SymExpr {
   SymKind kind_;
   uint8_t size_ = 4;
   BinOp op_ = BinOp::kAdd;
-  bool interned_ = false;   // set by ExprInterner on its nodes
   uint16_t kind_mask_ = 0;  // union of KindBit over the subtree
   uint64_t a_ = 0;          // const/arg/ret/heap/init payload
   SymRef lhs_;
@@ -194,6 +181,12 @@ class SymExpr {
   uint64_t bloom_ = 0;      // union of BloomBit(hash) over the subtree
   int depth_ = 1;
 };
+
+/// SymExpr factory calls made on the calling thread so far, served from
+/// the interner or not. A function analysis runs on one thread, so the
+/// difference across it counts the expressions that analysis built,
+/// whatever else the process has interned.
+uint64_t ThreadExprFactoryCalls();
 
 /// Convenience: a + c (normalized).
 SymRef SymAdd(SymRef a, int64_t c);

@@ -1,6 +1,5 @@
 #include "src/symexec/symstate.h"
 
-#include <atomic>
 #include <cassert>
 
 #include "src/ir/expr.h"
@@ -8,8 +7,6 @@
 namespace dtaint {
 
 namespace {
-
-std::atomic<bool> g_state_cow{true};
 
 // ---- hash-trie memory ------------------------------------------------------
 //
@@ -19,8 +16,7 @@ std::atomic<bool> g_state_cow{true};
 // practice), so every prior state keeps seeing its own root. Slots are
 // tagged pointers: low bit set = MemLeaf (all cells sharing one full
 // hash), clear = interior MemNode. Everything lives in the owning
-// exploration's StateArena; MemCell arrays register destructors there
-// so legacy (owning) SymRefs release correctly when the arena resets.
+// exploration's StateArena.
 
 struct MemLeaf {
   uint64_t hash = 0;
@@ -144,45 +140,24 @@ uint32_t TaintClassOfAddr(const SymRef& addr) {
 
 }  // namespace
 
-bool StateCowEnabled() {
-  return g_state_cow.load(std::memory_order_relaxed);
-}
-
-void SetStateCow(bool enabled) {
-  g_state_cow.store(enabled, std::memory_order_relaxed);
-}
-
 SymState SymState::Entry(Arch arch, std::shared_ptr<StateArena> arena) {
   SymState state;
-  state.arch_ = arch;
-  state.cow_ = StateCowEnabled();
   const CallingConvention& cc = ConventionFor(arch);
-  if (state.cow_) {
-    state.arena_ = arena ? std::move(arena) : std::make_shared<StateArena>();
-    for (int c = 0; c < kNumRegChunks; ++c) {
-      state.chunks_[c] = std::make_shared<RegChunk>();
-    }
-    for (int r = 0; r < kNumIrRegs; ++r) {
-      state.chunks_[r / kRegChunkSize]->regs[r % kRegChunkSize] =
-          SymExpr::InitReg(r);
-    }
-    for (int i = 0; i < kNumRegArgs; ++i) {
-      int r = cc.arg_regs[i];
-      state.chunks_[r / kRegChunkSize]->regs[r % kRegChunkSize] =
-          SymExpr::Arg(i);
-    }
-    state.chunks_[kRegSp / kRegChunkSize]->regs[kRegSp % kRegChunkSize] =
-        SymExpr::Sp0();
-  } else {
-    state.regs_.resize(kNumIrRegs);
-    for (int r = 0; r < kNumIrRegs; ++r) {
-      state.regs_[r] = SymExpr::InitReg(r);
-    }
-    for (int i = 0; i < kNumRegArgs; ++i) {
-      state.regs_[cc.arg_regs[i]] = SymExpr::Arg(i);
-    }
-    state.regs_[kRegSp] = SymExpr::Sp0();
+  state.arena_ = arena ? std::move(arena) : std::make_shared<StateArena>();
+  for (int c = 0; c < kNumRegChunks; ++c) {
+    state.chunks_[c] = std::make_shared<RegChunk>();
   }
+  for (int r = 0; r < kNumIrRegs; ++r) {
+    state.chunks_[r / kRegChunkSize]->regs[r % kRegChunkSize] =
+        SymExpr::InitReg(r);
+  }
+  for (int i = 0; i < kNumRegArgs; ++i) {
+    int r = cc.arg_regs[i];
+    state.chunks_[r / kRegChunkSize]->regs[r % kRegChunkSize] =
+        SymExpr::Arg(i);
+  }
+  state.chunks_[kRegSp / kRegChunkSize]->regs[kRegSp % kRegChunkSize] =
+      SymExpr::Sp0();
   // Stack-passed arguments arg4..arg9 live at [Sp0 + k]; seed them so a
   // load finds the argument symbol rather than an anonymous deref.
   for (int i = kNumRegArgs; i < kMaxModeledArgs; ++i) {
@@ -193,15 +168,14 @@ SymState SymState::Entry(Arch arch, std::shared_ptr<StateArena> arena) {
 }
 
 SymState SymState::Fork() {
-  if (cow_) CommitOverlay();
-  return *this;  // CoW: shares the committed spine. Legacy: deep copy.
+  CommitOverlay();
+  return *this;  // shares the committed spine
 }
 
 const SymRef& SymState::Reg(int reg) const {
   assert(reg >= 0 && reg < kNumIrRegs);
   const SymRef& value =
-      cow_ ? chunks_[reg / kRegChunkSize]->regs[reg % kRegChunkSize]
-           : regs_[reg];
+      chunks_[reg / kRegChunkSize]->regs[reg % kRegChunkSize];
   if (tape_.ptr) tape_.ptr->OnRegRead(reg, value);
   return value;
 }
@@ -210,16 +184,12 @@ void SymState::SetReg(int reg, SymRef value) {
   assert(reg >= 0 && reg < kNumIrRegs);
   if (tape_.ptr) tape_.ptr->OnRegWrite(reg, value);
   if (value && value->IsTainted()) taint_mask_ |= kTaintClassReg;
-  if (!cow_) {
-    regs_[reg] = std::move(value);
-    return;
-  }
   std::shared_ptr<RegChunk>& chunk = chunks_[reg / kRegChunkSize];
   // Sharing is confined to one exploration on one thread, so the
   // use_count check cannot race: a count of 1 proves exclusivity.
   if (chunk.use_count() > 1) {
     chunk = std::make_shared<RegChunk>(*chunk);
-    ++arena_->stats.cow_chunk_copies;
+    ++arena_->stats.chunk_copies;
   }
   chunk->regs[reg % kRegChunkSize] = std::move(value);
 }
@@ -245,30 +215,17 @@ const SymState::MemCell* SymState::FindInTrie(const SymRef& addr) const {
 
 SymRef SymState::LoadMem(const SymRef& addr, uint8_t size,
                          bool* was_defined) {
-  if (cow_) {
-    for (int i = 0; i < overlay_count_; ++i) {
-      if (SameAddr(overlay_[i].addr, addr)) {
-        if (tape_.ptr) tape_.ptr->OnMemRead(addr, overlay_[i].value);
-        if (was_defined) *was_defined = true;
-        return overlay_[i].value;
-      }
-    }
-    if (const MemCell* cell = FindInTrie(addr)) {
-      if (tape_.ptr) tape_.ptr->OnMemRead(addr, cell->value);
+  for (int i = 0; i < overlay_count_; ++i) {
+    if (SameAddr(overlay_[i].addr, addr)) {
+      if (tape_.ptr) tape_.ptr->OnMemRead(addr, overlay_[i].value);
       if (was_defined) *was_defined = true;
-      return cell->value;
+      return overlay_[i].value;
     }
-    if (tape_.ptr) tape_.ptr->OnMemRead(addr, nullptr);
-    if (was_defined) *was_defined = false;
-    return SymExpr::Deref(addr, size);
   }
-  auto [begin, end] = mem_.equal_range(addr->hash());
-  for (auto it = begin; it != end; ++it) {
-    if (SameAddr(it->second.addr, addr)) {
-      if (tape_.ptr) tape_.ptr->OnMemRead(addr, it->second.value);
-      if (was_defined) *was_defined = true;
-      return it->second.value;
-    }
+  if (const MemCell* cell = FindInTrie(addr)) {
+    if (tape_.ptr) tape_.ptr->OnMemRead(addr, cell->value);
+    if (was_defined) *was_defined = true;
+    return cell->value;
   }
   if (tape_.ptr) tape_.ptr->OnMemRead(addr, nullptr);
   if (was_defined) *was_defined = false;
@@ -278,63 +235,37 @@ SymRef SymState::LoadMem(const SymRef& addr, uint8_t size,
 void SymState::StoreMem(const SymRef& addr, SymRef value, uint8_t size) {
   if (tape_.ptr) tape_.ptr->OnMemWrite(addr, value, size);
   if (value && value->IsTainted()) NoteTaintedStore(addr);
-  if (cow_) {
-    for (int i = 0; i < overlay_count_; ++i) {
-      if (SameAddr(overlay_[i].addr, addr)) {
-        overlay_[i].value = std::move(value);
-        overlay_[i].size = size;
-        return;
-      }
-    }
-    if (!FindInTrie(addr)) ++mem_count_;
-    if (overlay_count_ == kOverlayCap) {
-      CommitOverlay();
-      ++arena_->stats.overlay_spills;
-    }
-    overlay_[overlay_count_++] = MemCell{addr, std::move(value), size};
-    return;
-  }
-  auto [begin, end] = mem_.equal_range(addr->hash());
-  for (auto it = begin; it != end; ++it) {
-    if (SameAddr(it->second.addr, addr)) {
-      it->second.value = std::move(value);
-      it->second.size = size;
+  for (int i = 0; i < overlay_count_; ++i) {
+    if (SameAddr(overlay_[i].addr, addr)) {
+      overlay_[i].value = std::move(value);
+      overlay_[i].size = size;
       return;
     }
   }
-  mem_.emplace(addr->hash(), MemCell{addr, std::move(value), size});
+  if (!FindInTrie(addr)) ++mem_count_;
+  if (overlay_count_ == kOverlayCap) {
+    CommitOverlay();
+    ++arena_->stats.overlay_spills;
+  }
+  overlay_[overlay_count_++] = MemCell{addr, std::move(value), size};
 }
 
 SymRef SymState::PeekMem(const SymRef& addr) const {
-  if (cow_) {
-    for (int i = 0; i < overlay_count_; ++i) {
-      if (SameAddr(overlay_[i].addr, addr)) return overlay_[i].value;
-    }
-    if (const MemCell* cell = FindInTrie(addr)) return cell->value;
-    return nullptr;
+  for (int i = 0; i < overlay_count_; ++i) {
+    if (SameAddr(overlay_[i].addr, addr)) return overlay_[i].value;
   }
-  auto [begin, end] = mem_.equal_range(addr->hash());
-  for (auto it = begin; it != end; ++it) {
-    if (SameAddr(it->second.addr, addr)) return it->second.value;
-  }
+  if (const MemCell* cell = FindInTrie(addr)) return cell->value;
   return nullptr;
 }
 
-size_t SymState::MemEntryCount() const {
-  return cow_ ? mem_count_ : mem_.size();
-}
+size_t SymState::MemEntryCount() const { return mem_count_; }
 
 void SymState::PushConstraint(const PathConstraint& c) {
-  if (!cow_) {
-    constraints_.push_back(c);
-    return;
-  }
   trail_ = arena_->arena.New<TrailNode>(TrailNode{c, trail_});
   ++trail_len_;
 }
 
 std::vector<PathConstraint> SymState::ConstraintsSnapshot() const {
-  if (!cow_) return constraints_;
   std::vector<PathConstraint> out(trail_len_);
   size_t i = trail_len_;
   for (const TrailNode* node = trail_; node; node = node->prev) {
@@ -343,21 +274,14 @@ std::vector<PathConstraint> SymState::ConstraintsSnapshot() const {
   return out;
 }
 
-size_t SymState::ConstraintCount() const {
-  return cow_ ? trail_len_ : constraints_.size();
+size_t SymState::ConstraintCount() const { return trail_len_; }
+
+bool SymState::VisitedBlock(int index) const {
+  return visited_.Test(static_cast<size_t>(index));
 }
 
-bool SymState::VisitedBlock(uint32_t addr, int index) const {
-  if (cow_) return visited_.Test(static_cast<size_t>(index));
-  return visited_blocks_.count(addr) != 0;
-}
-
-void SymState::MarkVisited(uint32_t addr, int index) {
-  if (cow_) {
-    visited_.Set(static_cast<size_t>(index));
-  } else {
-    visited_blocks_.insert(addr);
-  }
+void SymState::MarkVisited(int index) {
+  visited_.Set(static_cast<size_t>(index));
 }
 
 }  // namespace dtaint

@@ -6,31 +6,22 @@
 // paper builds everything on. Each state also carries the path's
 // branch-condition trail.
 //
-// Two representations live behind one API:
-//
-//  * Copy-on-write (the default). The state is a persistent structure:
-//    an immutable shared spine — a ref-counted chunked register file
-//    plus a 16-way hash-trie over canonical address expressions — with
-//    a small per-path delta overlay in front of the trie. Fork()
-//    commits the overlay into the trie (path-copying O(overlay) nodes)
-//    and then shares the whole spine with the child, so forking is
-//    O(1) in the size of the state and StoreMem/SetReg touch only the
-//    overlay / one register chunk. Trie nodes, spilled overlay arrays
-//    and the constraint trail all live in a per-function StateArena
-//    freed wholesale once the function's summary is produced; states
-//    keep the arena alive via shared_ptr, so member teardown order
-//    never dangles. The visited-block set is a dense DynamicBitset
-//    indexed by the engine's per-function block numbering, and a
-//    monotone taint bitmask (one bit per source class: each formal
-//    argument, heap/ret/sp-rooted memory, register-held) answers
-//    "could this path hold attacker data?" in O(1) without walking a
-//    single expression.
-//
-//  * Legacy (SetStateCow(false)): the original eagerly-copied
-//    std::multimap / std::vector / std::set containers. Kept
-//    selectable — mirroring the expression interner's escape hatch —
-//    so the state differential oracle can pin byte-identical analysis
-//    reports across both representations.
+// The state is a persistent structure: an immutable shared spine — a
+// ref-counted chunked register file plus a 16-way hash-trie over
+// canonical address expressions — with a small per-path delta overlay
+// in front of the trie. Fork() commits the overlay into the trie
+// (path-copying O(overlay) nodes) and then shares the whole spine with
+// the child, so forking is O(1) in the size of the state and
+// StoreMem/SetReg touch only the overlay / one register chunk. Trie
+// nodes, spilled overlay arrays and the constraint trail all live in a
+// per-function StateArena freed wholesale once the function's summary
+// is produced; states keep the arena alive via shared_ptr, so member
+// teardown order never dangles. The visited-block set is a dense
+// DynamicBitset indexed by the engine's per-function block numbering,
+// and a monotone taint bitmask (one bit per source class: each formal
+// argument, heap/ret/sp-rooted memory, register-held) answers "could
+// this path hold attacker data?" in O(1) without walking a single
+// expression.
 //
 // Thread model: a state (and its arena) is owned by the single worker
 // thread analyzing one function; spines are shared only among the
@@ -39,9 +30,7 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <set>
 #include <vector>
 
 #include "src/isa/regs.h"
@@ -52,32 +41,11 @@
 
 namespace dtaint {
 
-/// Whether SymState uses the copy-on-write representation (default
-/// true). The legacy path exists for the differential oracle and A/B
-/// benchmarks; both produce byte-identical analysis results. Not a
-/// hot-path switch: flip it between analyses, never during one.
-bool StateCowEnabled();
-void SetStateCow(bool enabled);
-
-/// RAII toggle for tests/benchmarks.
-class ScopedStateCow {
- public:
-  explicit ScopedStateCow(bool enabled) : prev_(StateCowEnabled()) {
-    SetStateCow(enabled);
-  }
-  ~ScopedStateCow() { SetStateCow(prev_); }
-  ScopedStateCow(const ScopedStateCow&) = delete;
-  ScopedStateCow& operator=(const ScopedStateCow&) = delete;
-
- private:
-  bool prev_;
-};
-
 /// Counters the copy-on-write machinery maintains per arena (i.e. per
 /// function exploration); the engine folds them into the summary's
 /// ExplorationStats.
 struct StateStats {
-  uint64_t cow_chunk_copies = 0;  // register chunks cloned on write
+  uint64_t chunk_copies = 0;      // register chunks cloned on write
   uint64_t overlay_spills = 0;    // overlay commits forced by capacity
   uint64_t trie_nodes = 0;        // hash-trie nodes allocated
 };
@@ -125,15 +93,14 @@ class SymState {
   /// Initial state at function entry: argument registers hold
   /// arg0..arg3, sp holds Sp0, stack slots above sp hold arg4..arg9
   /// (lazily via LoadMem), everything else InitReg (paper §III-B).
-  /// In CoW mode the state allocates out of `arena` (a fresh one is
-  /// created when omitted); legacy mode ignores it.
+  /// The state allocates out of `arena` (a fresh one is created when
+  /// omitted).
   static SymState Entry(Arch arch,
                         std::shared_ptr<StateArena> arena = nullptr);
 
-  /// Child state sharing this state's spine. CoW: commits the overlay
-  /// into the trie, then the copy is O(1) — chunk refcount bumps plus
-  /// two bitset words. Legacy: a plain deep copy, preserving the
-  /// original engine's behavior bit-for-bit.
+  /// Child state sharing this state's spine: commits the overlay into
+  /// the trie, then the copy is O(1) — chunk refcount bumps plus two
+  /// bitset words.
   SymState Fork();
 
   // ---- registers -----------------------------------------------------------
@@ -161,11 +128,9 @@ class SymState {
   size_t ConstraintCount() const;
 
   // ---- visited blocks ------------------------------------------------------
-  /// `index` is the engine's dense per-function block number for
-  /// `addr`; CoW tests one bit, legacy consults the address set (so
-  /// the legacy representation stays exactly the original one).
-  bool VisitedBlock(uint32_t addr, int index) const;
-  void MarkVisited(uint32_t addr, int index);
+  /// `index` is the engine's dense per-function block number.
+  bool VisitedBlock(int index) const;
+  void MarkVisited(int index);
 
   // ---- taint bitmask -------------------------------------------------------
   /// Union of kTaintClass* bits observed on this path (monotone).
@@ -179,7 +144,6 @@ class SymState {
   void DetachTape() { tape_.ptr = nullptr; }
 
   const std::shared_ptr<StateArena>& arena() const { return arena_; }
-  bool cow() const { return cow_; }
 
   int path_id = 0;
 
@@ -228,11 +192,8 @@ class SymState {
   /// Trie lookup, or nullptr.
   const MemCell* FindInTrie(const SymRef& addr) const;
 
-  Arch arch_ = Arch::kDtArm;
-  bool cow_ = true;
   TapeRef tape_;
 
-  // --- CoW representation ---
   std::shared_ptr<StateArena> arena_;
   std::shared_ptr<RegChunk> chunks_[kNumRegChunks];
   uintptr_t mem_root_ = 0;  // tagged trie slot (see symstate.cpp); 0 = empty
@@ -242,15 +203,6 @@ class SymState {
   const TrailNode* trail_ = nullptr;
   uint32_t trail_len_ = 0;
   DynamicBitset visited_;
-
-  // --- legacy representation ---
-  std::vector<SymRef> regs_;  // kNumIrRegs entries
-  // Keyed by address-expression hash; collisions resolved by a pointer
-  // compare (canonical nodes) before the structural Equal.
-  std::multimap<uint64_t, MemCell> mem_;
-  std::vector<PathConstraint> constraints_;
-  std::set<uint32_t> visited_blocks_;
-
   uint32_t taint_mask_ = 0;
 };
 

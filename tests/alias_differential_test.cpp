@@ -29,72 +29,22 @@
 #include "src/report/json.h"
 #include "src/report/scoring.h"
 #include "src/synth/firmware_synth.h"
+#include "tests/testing/differential.h"
 
 namespace dtaint {
 namespace {
 
-/// 20 synthesized binaries (10 seeds x 2 architectures) rotating
-/// through the five standard plant patterns, with a sanitized twin on
-/// odd seeds so reports contain both findings and their absence.
 std::vector<Binary> BuildCorpus() {
-  std::vector<Binary> corpus;
-  for (int seed = 0; seed < 10; ++seed) {
-    for (Arch arch : {Arch::kDtArm, Arch::kDtMips}) {
-      ProgramSpec spec;
-      spec.name = "afw" + std::to_string(seed);
-      spec.arch = arch;
-      spec.seed = 700 + static_cast<uint64_t>(seed);
-      spec.filler_functions = 12 + seed;
-      PlantSpec p;
-      p.id = "v" + std::to_string(seed);
-      p.pattern = static_cast<VulnPattern>(seed % 5);
-      p.source = (p.pattern == VulnPattern::kDispatch ||
-                  p.pattern == VulnPattern::kLoopCopy ||
-                  p.pattern == VulnPattern::kAliasChain)
-                     ? "recv"
-                     : "getenv";
-      p.sink = p.pattern == VulnPattern::kLoopCopy
-                   ? "loop"
-                   : (p.pattern == VulnPattern::kDispatch ? "memcpy"
-                                                          : "system");
-      spec.plants.push_back(p);
-      if (seed % 2) {
-        PlantSpec safe = p;
-        safe.id = "s" + std::to_string(seed);
-        safe.sanitized = true;
-        spec.plants.push_back(safe);
-      }
-      auto out = SynthesizeBinary(spec);
-      EXPECT_TRUE(out.ok()) << out.status().ToString();
-      if (out.ok()) corpus.push_back(std::move(out->binary));
-    }
-  }
-  return corpus;
+  return testing_util::BuildCorpus(testing_util::kAliasCorpus);
 }
 
-/// Serializes a report with the run-dependent fields zeroed: timings,
-/// cache counters, per-run metrics, the timing-ordered hot-function
-/// profile — plus the propagation-effort counters that lawfully
-/// differ between modes (eager materializes and propagates twin
-/// pairs; on-demand does not). Findings, sink/path/resolution counts,
-/// and the completeness bit must survive byte comparison.
+/// Normalized with the propagation-effort counters that lawfully
+/// differ between modes zeroed too (eager materializes and propagates
+/// twin pairs; on-demand does not). Findings, sink/path/resolution
+/// counts, and the completeness bit must survive byte comparison.
 std::string NormalizedJson(AnalysisReport report) {
-  report.ssa_seconds = 0.0;
-  report.ddg_seconds = 0.0;
-  report.total_seconds = 0.0;
-  report.interproc_stats.summary_seconds = 0.0;
-  report.interproc_stats.cache_hits = 0;
-  report.interproc_stats.cache_misses = 0;
-  report.interproc_stats.cache_evictions = 0;
-  report.interproc_stats.cache_memory_bytes = 0;
-  report.interproc_stats.hot_functions.clear();
-  report.interproc_stats.defs_propagated = 0;
-  report.interproc_stats.uses_forwarded = 0;
-  report.interproc_stats.rets_replaced = 0;
-  report.interproc_stats.alias_pairs_added = 0;
-  report.pathfinder_stats.paths_explored = 0;
-  report.metrics = obs::MetricsSnapshot{};
-  return ReportToJson(report);
+  return testing_util::NormalizedJson(std::move(report),
+                                      /*zero_alias_effort=*/true);
 }
 
 Result<AnalysisReport> Analyze(const Binary& binary, AliasMode mode,

@@ -1,11 +1,10 @@
 // Unit tests for the hash-consing SymExpr interner (src/symexec/intern).
 //
-// The contract under test: with interning on (the default), the SymExpr
-// factories return the *same node* for the same structure, so Equal is
-// a pointer compare; with it off they allocate fresh nodes whose deep
-// comparison must agree with the pointer fast path; Canonical() bridges
-// the two worlds; and the whole thing is safe to hammer from many
-// threads (the TSan CI job runs this binary under -fsanitize=thread).
+// The contract under test: the SymExpr factories return the *same node*
+// for the same structure, so Equal is a pointer compare; the structural
+// queries (Replace, Contains, taint) keep their meaning on canonical
+// nodes; and the whole thing is safe to hammer from many threads (the
+// TSan CI job runs this binary under -fsanitize=thread).
 #include <gtest/gtest.h>
 
 #include <thread>
@@ -29,11 +28,9 @@ SymRef DeepExpr(int depth, int arg = 0) {
 }
 
 TEST(Intern, FactoriesReturnTheCanonicalNode) {
-  ScopedExprInterning on(true);
   SymRef a = DeepExpr(16);
   SymRef b = DeepExpr(16);
   EXPECT_EQ(a.get(), b.get());  // same node, not merely equal
-  EXPECT_TRUE(a->interned());
   EXPECT_TRUE(SymExpr::Equal(a, b));
 
   // Every leaf family dedups too.
@@ -46,7 +43,6 @@ TEST(Intern, FactoriesReturnTheCanonicalNode) {
 }
 
 TEST(Intern, DistinctShapesAreDistinctNodes) {
-  ScopedExprInterning on(true);
   EXPECT_NE(SymExpr::Arg(0).get(), SymExpr::Arg(1).get());
   EXPECT_NE(SymExpr::Taint(0x10, "recv").get(),
             SymExpr::Taint(0x10, "read").get());  // text participates
@@ -56,79 +52,38 @@ TEST(Intern, DistinctShapesAreDistinctNodes) {
 }
 
 TEST(Intern, NormalizationLandsOnTheSameNode) {
-  ScopedExprInterning on(true);
   // ((arg0+4)+4) normalizes to arg0+8 — interning makes that literal.
   SymRef chained = SymAdd(SymAdd(SymExpr::Arg(0), 4), 4);
   SymRef direct = SymAdd(SymExpr::Arg(0), 8);
   EXPECT_EQ(chained.get(), direct.get());
 }
 
-TEST(Intern, LegacyPathStillDeepCompares) {
-  ScopedExprInterning off(false);
-  SymRef a = DeepExpr(16);
-  SymRef b = DeepExpr(16);
-  EXPECT_NE(a.get(), b.get());  // fresh heap nodes
-  EXPECT_FALSE(a->interned());
-  EXPECT_TRUE(SymExpr::Equal(a, b));
-  EXPECT_FALSE(SymExpr::Equal(a, DeepExpr(16, 1)));
-}
-
-TEST(Intern, MixedInternedAndLegacyCompareStructurally) {
-  SymRef legacy;
-  {
-    ScopedExprInterning off(false);
-    legacy = DeepExpr(12);
-  }
-  ScopedExprInterning on(true);
-  SymRef interned = DeepExpr(12);
-  EXPECT_NE(legacy.get(), interned.get());
-  EXPECT_TRUE(SymExpr::Equal(legacy, interned));
-  EXPECT_TRUE(SymExpr::Equal(interned, legacy));
-  EXPECT_TRUE(interned->Contains(legacy->lhs()->lhs()));
-}
-
-TEST(Intern, CanonicalBridgesLegacyTrees) {
-  SymRef legacy;
-  {
-    ScopedExprInterning off(false);
-    legacy = DeepExpr(12);
-  }
-  SymRef canon = ExprInterner::Global().Canonical(legacy);
-  EXPECT_TRUE(canon->interned());
-  EXPECT_TRUE(SymExpr::Equal(canon, legacy));
-  {
-    ScopedExprInterning on(true);
-    EXPECT_EQ(canon.get(), DeepExpr(12).get());
-  }
-  // Idempotent and pointer-identical on an already-canonical tree.
-  EXPECT_EQ(ExprInterner::Global().Canonical(canon).get(), canon.get());
-}
-
-TEST(Intern, ReplaceAndTaintQueriesMatchLegacySemantics) {
+TEST(Intern, ReplaceAndTaintQueriesKeepTheirMeaning) {
   SymRef from = SymExpr::Arg(0);
   SymRef to = SymExpr::Sp0();
-  for (bool enabled : {true, false}) {
-    ScopedExprInterning toggle(enabled);
-    SymRef hay = DeepExpr(12);
-    SymRef replaced = SymExpr::Replace(hay, from, to);
-    EXPECT_FALSE(replaced->Contains(from));
-    EXPECT_TRUE(replaced->Contains(to));
-    // Absent needle: unchanged, same pointer.
-    EXPECT_EQ(SymExpr::Replace(hay, SymExpr::Arg(7), to).get(), hay.get());
+  SymRef hay = DeepExpr(12);
+  SymRef replaced = SymExpr::Replace(hay, from, to);
+  EXPECT_FALSE(replaced->Contains(from));
+  EXPECT_TRUE(replaced->Contains(to));
+  // Replacing in a rebuilt tree lands on the node built directly.
+  EXPECT_EQ(SymExpr::Replace(replaced, to, from).get(), hay.get());
+  // Absent needle: unchanged, same pointer.
+  EXPECT_EQ(SymExpr::Replace(hay, SymExpr::Arg(7), to).get(), hay.get());
+  // A subtree is found by identity wherever it sits.
+  EXPECT_TRUE(hay->Contains(DeepExpr(5)));
+  EXPECT_FALSE(DeepExpr(5)->Contains(hay));
 
-    SymRef tainted = SymExpr::Bin(BinOp::kXor, hay,
-                                  SymExpr::Taint(0x20, "recv"));
-    EXPECT_FALSE(hay->IsTainted());
-    EXPECT_TRUE(tainted->IsTainted());
-    auto found = tainted->FindTaint();
-    ASSERT_TRUE(found.has_value());
-    EXPECT_EQ(found->first, 0x20u);
-    EXPECT_EQ(found->second, "recv");
-  }
+  SymRef tainted = SymExpr::Bin(BinOp::kXor, hay,
+                                SymExpr::Taint(0x20, "recv"));
+  EXPECT_FALSE(hay->IsTainted());
+  EXPECT_TRUE(tainted->IsTainted());
+  auto found = tainted->FindTaint();
+  ASSERT_TRUE(found.has_value());
+  EXPECT_EQ(found->first, 0x20u);
+  EXPECT_EQ(found->second, "recv");
 }
 
 TEST(Intern, StatsCountHitsNodesAndBytes) {
-  ScopedExprInterning on(true);
   ExprInterner& interner = ExprInterner::Global();
   InternStats before = interner.stats();
   // A never-seen-before shape (unique heap ids) ...
@@ -151,7 +106,6 @@ TEST(Intern, StatsCountHitsNodesAndBytes) {
 }
 
 TEST(Intern, PublishMetricsPushesDeltasIntoTheRegistry) {
-  ScopedExprInterning on(true);
   ExprInterner& interner = ExprInterner::Global();
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
 
@@ -176,7 +130,6 @@ TEST(Intern, PublishMetricsPushesDeltasIntoTheRegistry) {
 }
 
 TEST(Intern, ConcurrentFactoriesConvergeOnOneNodePerShape) {
-  ScopedExprInterning on(true);
   constexpr int kThreads = 8;
   constexpr int kShapes = 64;
   // Each thread builds every shape; all threads must get the same
@@ -193,7 +146,6 @@ TEST(Intern, ConcurrentFactoriesConvergeOnOneNodePerShape) {
             BinOp::kXor, DeepExpr(8, s % 4),
             SymAdd(SymExpr::Taint(0x9000 + s, "recv"), s));
         seen[t][s] = e.get();
-        EXPECT_TRUE(e->interned());
         EXPECT_TRUE(e->IsTainted());
       }
     });

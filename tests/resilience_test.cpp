@@ -23,6 +23,7 @@
 #include "src/resilience/fault.h"
 #include "src/resilience/retry.h"
 #include "src/synth/firmware_synth.h"
+#include "tests/testing/differential.h"
 
 namespace dtaint {
 namespace {
@@ -324,6 +325,46 @@ TEST_F(ResilienceTest, DeadlineBudgetDegradesStateExplosion) {
   for (const Incident& inc : report->incidents) {
     EXPECT_EQ(inc.budget.exhausted_by, BudgetExhaustion::kDeadline);
   }
+}
+
+TEST_F(ResilienceTest, ExprNodeBudgetIgnoresEarlierWorkInTheProcess) {
+  // max_expr_nodes charges the expressions one function's analysis
+  // builds, so a larger scan earlier in the same process must change
+  // neither which functions degrade nor what their incidents record.
+  SynthOutput small = MixedProgram();
+  ProgramSpec spec;
+  spec.name = "resil_large";
+  spec.arch = Arch::kDtMips;
+  spec.seed = 4242;
+  spec.filler_functions = 90;
+  PlantSpec plant;
+  plant.id = "l1";
+  plant.pattern = VulnPattern::kLoopCopy;
+  plant.source = "recv";
+  plant.sink = "loop";
+  spec.plants = {plant};
+  auto large = SynthesizeBinary(spec);
+  ASSERT_TRUE(large.ok()) << large.status().ToString();
+
+  DTaintConfig config;
+  config.interproc.budget.max_expr_nodes = 3000;
+  auto normalized = [&](const Binary& binary) {
+    auto report = DTaint(config).Analyze(binary);
+    EXPECT_TRUE(report.ok());
+    if (!report.ok()) return std::string();
+    EXPECT_GT(report->degraded_functions, 0u);
+    EXPECT_LT(report->degraded_functions, report->analyzed_functions);
+    for (Incident& incident : report->incidents) {
+      EXPECT_EQ(incident.budget.exhausted_by, BudgetExhaustion::kExprNodes);
+      EXPECT_GE(incident.budget.expr_nodes, 3000u);
+      incident.budget.elapsed_ms = 0;
+    }
+    return testing_util::NormalizedJson(std::move(*report));
+  };
+  std::string first = normalized(small.binary);
+  ASSERT_FALSE(first.empty());
+  normalized(large->binary);
+  EXPECT_EQ(normalized(small.binary), first);
 }
 
 // ---------- on-demand alias oracle under expression budget -------------------
