@@ -8,6 +8,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <optional>
 
 #include "src/binary/loader.h"
 #include "src/cfg/callgraph.h"
@@ -66,14 +67,14 @@ int main(int argc, char** argv) {
   double cpu0 = CpuSeconds(), wall0 = WallNow(), mem0 = RssMb();
   Program program;
   SymEngine engine(*binary);
-  BaseSummaries base;
+  std::optional<Linker> linker;
   ProgramAnalysis analysis;
   harness.Run("ssa_phase", [&](bench::Rep& rep) {
     CfgBuilder b(*binary);
     program = std::move(*b.BuildProgram());
     CallGraph graph = CallGraph::Build(program);
-    base = Summarize(program, graph, engine);
-    analysis = Link(program, graph, base);
+    linker.emplace(program);
+    analysis = linker->Link(graph, Summarize(program, graph, engine));
     double cpu = CpuSeconds(), wall = WallNow(), mem = RssMb();
     rep.Value("cpu_pct",
               wall - wall0 <= 0 ? 0.0 : 100.0 * (cpu - cpu0) / (wall - wall0));
@@ -81,14 +82,15 @@ int main(int argc, char** argv) {
   });
   double cpu1 = CpuSeconds(), wall1 = WallNow(), mem1 = RssMb();
 
-  // Phase 2: data-flow generation (indirect-call resolution, re-linking
-  // the phase-1 summaries, path search, sanitization).
+  // Phase 2: data-flow generation (indirect-call resolution, relinking
+  // what it changes from the kept phase-1 summaries, path search,
+  // sanitization).
   std::vector<IndirectResolution> resolutions;
   std::vector<TaintPath> paths, vulns;
   harness.Run("ddg_phase", [&](bench::Rep& rep) {
     resolutions = ResolveIndirectCalls(program, analysis.summaries);
-    ProgramAnalysis linked = Link(program, CallGraph::Build(program), base);
-    PathFinder finder(program, linked);
+    linker->Relink(analysis);
+    PathFinder finder(program, analysis);
     paths = finder.FindAll();
     vulns = FilterVulnerable(paths);
     double cpu = CpuSeconds(), wall = WallNow(), mem = RssMb();

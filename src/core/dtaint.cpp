@@ -13,21 +13,6 @@
 
 namespace dtaint {
 
-namespace {
-
-/// True if `program` has an indirect call site: the only thing
-/// ResolveIndirectCalls resolves, hence the only reason to re-link.
-bool HasIndirectCallSite(const Program& program) {
-  for (const auto& [name, fn] : program.functions) {
-    for (const CallSite& cs : fn.callsites) {
-      if (cs.is_indirect) return true;
-    }
-  }
-  return false;
-}
-
-}  // namespace
-
 std::string Finding::Summary() const {
   std::string out(VulnClassName(path.vuln_class));
   out += ": " + path.source_name + " -> " + path.sink_name + " in " +
@@ -155,18 +140,17 @@ Result<AnalysisReport> DTaint::AnalyzeFunctions(
 
   CallGraph graph = CallGraph::Build(program);
   BaseSummaries base = Summarize(program, graph, engine, interproc_config);
-  // Linking consumes the base summaries; copy them only when a re-link
-  // can follow (structsim on, and an indirect call site to resolve).
-  BaseSummaries relink_base;
-  if (config_.enable_structsim && HasIndirectCallSite(program)) {
-    relink_base = base;
-  }
+  // Only a structsim resolution can follow; then the linker keeps the
+  // base summaries the relink needs.
+  Linker linker(program, interproc_config);
   ProgramAnalysis analysis =
-      Link(program, graph, std::move(base), interproc_config);
+      config_.enable_structsim
+          ? linker.Link(graph, std::move(base))
+          : Link(program, graph, std::move(base), interproc_config);
   report.ssa_seconds = t_ssa.Seconds();
 
   // 3. Indirect-call resolution via structure-layout similarity, then
-  // re-link the same base summaries so flows cross the resolved edges.
+  // a relink of what the resolved edges change, so flows cross them.
   obs::Stopwatch t_ddg;
   if (config_.enable_structsim) {
     obs::Span structsim_span(tracer, "phase", "structsim");
@@ -191,10 +175,7 @@ Result<AnalysisReport> DTaint::AnalyzeFunctions(
                            static_cast<uint64_t>(
                                report.indirect_calls_resolved)));
     }
-    if (!resolutions.empty()) {
-      analysis = Link(program, CallGraph::Build(program),
-                      std::move(relink_base), interproc_config);
-    }
+    linker.Relink(analysis);
   }
   report.interproc_stats = analysis.stats;
   report.call_graph_edges = program.CallEdgeCount();

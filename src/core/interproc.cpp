@@ -2,8 +2,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cassert>
 #include <numeric>
+#include <set>
+#include <span>
 #include <thread>
+#include <unordered_map>
+#include <unordered_set>
+#include <utility>
 
 #include "src/cache/summary_cache.h"
 #include "src/core/alias.h"
@@ -19,11 +25,6 @@
 
 namespace dtaint {
 
-namespace {
-
-/// Replaces every formal-argument symbol arg_i occurring in `expr`
-/// with the i-th actual argument of the callsite (Algorithm 2's
-/// ReplaceFormalArgs). Unmapped formals stay as-is.
 SymRef ReplaceFormalArgs(const SymRef& expr,
                          const std::vector<SymRef>& actual_args) {
   // O(1) bail-out for the common case: nothing argument-rooted inside.
@@ -39,10 +40,9 @@ SymRef ReplaceFormalArgs(const SymRef& expr,
   return result;
 }
 
-/// Re-keys Heap identities with the callsite: the callee's heap object
-/// hash is extended by the caller's callsite address, so two calls to
-/// the same allocating callee produce distinct objects (Listing 1's
-/// "hash value of the callsite chain").
+// The callee's heap object hash is extended by the caller's callsite
+// address, so two calls to the same allocating callee produce distinct
+// objects (Listing 1's "hash value of the callsite chain").
 SymRef RehashHeap(const SymRef& expr, uint32_t callsite) {
   // The kind bitmask proves heap-freeness without walking the tree.
   if (!expr->ContainsKind(SymKind::kHeap)) return expr;
@@ -64,9 +64,8 @@ SymRef RehashHeap(const SymRef& expr, uint32_t callsite) {
   return expr;
 }
 
-/// Picks the callee's representative return value: prefer a value that
-/// carries structure (argument passthrough, heap pointer, tainted
-/// expression) over opaque unknowns.
+// Prefers a value that carries structure (argument passthrough, heap
+// pointer, tainted expression) over opaque unknowns.
 SymRef RepresentativeReturn(const FunctionSummary& callee) {
   SymRef best;
   for (const SymRef& ret : callee.return_values) {
@@ -85,6 +84,8 @@ SymRef RepresentativeReturn(const FunctionSummary& callee) {
   }
   return best;
 }
+
+namespace {
 
 /// Cache-key encoding of the alias configuration: 0 = alias off,
 /// 1 = eager (the same bit the pre-mode bool mixed, so existing eager
@@ -325,112 +326,102 @@ BaseSummaries Summarize(const Program& program, const CallGraph& graph,
   return result;
 }
 
-ProgramAnalysis Link(const Program& program, const CallGraph& graph,
-                     BaseSummaries base, const InterprocConfig& config) {
-  ProgramAnalysis analysis;
-  analysis.stats = std::move(base.stats);
-  InterprocStats& stats = analysis.stats;
-  obs::Tracer& tracer = obs::Tracer::Global();
-  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-  obs::EventStream& events = obs::EventStream::Global();
-  if (events.enabled()) {
-    events.Emit(obs::Event("phase_begin").Str("phase", "link"));
+LinkCounters& LinkCounters::operator+=(const LinkCounters& other) {
+  defs_propagated += other.defs_propagated;
+  uses_forwarded += other.uses_forwarded;
+  rets_replaced += other.rets_replaced;
+  return *this;
+}
+
+namespace {
+
+/// What every caller reads from one linked callee. A callee's linked
+/// summary is final before any caller reads it, so one view per callee
+/// serves all of a Link pass's events.
+struct CalleeView {
+  SymRef ret;                 // RepresentativeReturn; null if none
+  bool degraded = false;
+  bool ret_degraded = false;  // degraded || ret_degraded
+  std::vector<const DefPair*> escaping_defs;     // the first `cap`
+  std::vector<const UseRecord*> forwarded_uses;  // arg-rooted, first `cap`
+};
+
+/// Adds the call site of every ret_{site} symbol in `expr` to `sites`.
+void CollectRetSites(const SymRef& expr, std::unordered_set<uint32_t>& sites) {
+  if (!expr || !expr->ContainsKind(SymKind::kRet)) return;
+  if (expr->kind() == SymKind::kRet) {
+    sites.insert(expr->ret_site());
+    return;
   }
+  CollectRetSites(expr->lhs(), sites);
+  CollectRetSites(expr->rhs(), sites);
+}
 
-  // Sequential in bottom-up order: each caller needs its callees'
-  // linked summaries. Each base map node moves into the result.
-  obs::Span link_span(tracer, "phase", "link");
-  obs::Stopwatch link_watch;
-  for (const std::string& name : graph.BottomUpOrder()) {
-    const Function* fn = program.FindFunction(name);
-    auto node = base.summaries.extract(name);
-    if (!fn || node.empty()) continue;
-    FunctionSummary& summary = node.mapped();
+/// Algorithm 2's per-function step, against the linked summaries of
+/// one Link pass.
+class LinkKernel {
+ public:
+  LinkKernel(const std::map<std::string, FunctionSummary>& linked,
+             const InterprocConfig& config)
+      : linked_(linked), cap_(config.max_imported_per_callsite) {}
 
-    // Link against already-processed callees (Algorithm 2).
+  /// Links `summary`, the base summary of `fn`, against the callees
+  /// already in `linked` (an absent callee is an SCC member not linked
+  /// yet).
+  LinkCounters Link(const Function& fn, FunctionSummary& summary) {
+    LinkCounters counters;
+    // Superset of the ret sites occurring in the caller's pairs and
+    // returns: an event at any other site has nothing to replace.
+    ret_sites_.clear();
+    for (const DefPair& dp : summary.def_pairs) {
+      CollectRetSites(dp.d, ret_sites_);
+      CollectRetSites(dp.u, ret_sites_);
+    }
+    for (const SymRef& rv : summary.return_values) {
+      CollectRetSites(rv, ret_sites_);
+    }
     std::vector<DefPair> imported_defs;
     std::vector<UseRecord> imported_uses;
     for (const CallEvent& call : summary.calls) {
       // Indirect calls may have several similarity-resolved targets.
-      std::vector<std::string> targets;
+      std::span<const std::string> targets;
       if (call.is_indirect) {
-        const CallSite* cs = fn->CallSiteAt(call.callsite);
-        if (cs) targets = cs->resolved_targets;
+        if (const CallSite* cs = fn.CallSiteAt(call.callsite)) {
+          targets = cs->resolved_targets;
+        }
       } else if (!call.is_import && !call.callee.empty()) {
-        targets.push_back(call.callee);
+        targets = std::span<const std::string>(&call.callee, 1);
       }
       for (const std::string& target : targets) {
-        auto callee_it = analysis.summaries.find(target);
-        if (callee_it == analysis.summaries.end()) continue;  // SCC member
-        const FunctionSummary& callee = callee_it->second;
-
-        // -- ReplaceRetVariable: resolve ret_{cs} in the caller --------
-        // A return value minted by a degraded callee (directly, or
-        // transitively via its own callees) is an over-approximation:
-        // taint the substituted pairs with the degraded flag and mark
-        // the caller's returns contaminated, so the path finder can
-        // suppress flows built on guessed data.
-        bool callee_ret_degraded = callee.degraded || callee.ret_degraded;
-        SymRef ret_sym = SymExpr::Ret(call.callsite);
-        SymRef ret_value = RepresentativeReturn(callee);
-        if (ret_value) {
-          ret_value = ReplaceFormalArgs(ret_value, call.args);
-          ret_value = RehashHeap(ret_value, call.callsite);
-          for (DefPair& dp : summary.def_pairs) {
-            bool touched = false;
-            if (dp.d && dp.d->Contains(ret_sym)) {
-              dp.d = SymExpr::Replace(dp.d, ret_sym, ret_value);
-              touched = true;
-            }
-            if (dp.u && dp.u->Contains(ret_sym)) {
-              dp.u = SymExpr::Replace(dp.u, ret_sym, ret_value);
-              touched = true;
-            }
-            if (touched) {
-              ++stats.rets_replaced;
-              if (callee_ret_degraded) dp.degraded = true;
-            }
-          }
-          for (SymRef& rv : summary.return_values) {
-            if (rv && rv->Contains(ret_sym)) {
-              rv = SymExpr::Replace(rv, ret_sym, ret_value);
-              ++stats.rets_replaced;
-              if (callee_ret_degraded) summary.ret_degraded = true;
-            }
-          }
+        const CalleeView* callee = ViewOf(target);
+        if (!callee) continue;
+        if (callee->ret && ret_sites_.erase(call.callsite)) {
+          ReplaceRet(call, *callee, summary, counters);
         }
 
         // -- UpdateDefPairs: import callee's escaping definitions ------
-        size_t imported = 0;
-        for (const DefPair* dp : callee.EscapingDefs()) {
-          if (imported >= config.max_imported_per_callsite) break;
+        for (const DefPair* dp : callee->escaping_defs) {
           DefPair linked;
-          linked.d = ReplaceFormalArgs(dp->d, call.args);
-          linked.u = ReplaceFormalArgs(dp->u, call.args);
-          linked.d = RehashHeap(linked.d, call.callsite);
-          linked.u = RehashHeap(linked.u, call.callsite);
-          linked.site = dp->site;        // original defining site
-          linked.path_id = call.path_id; // caller's path context
-          linked.degraded = dp->degraded || callee.degraded;
+          linked.d = RehashHeap(ReplaceFormalArgs(dp->d, call.args),
+                                call.callsite);
+          linked.u = RehashHeap(ReplaceFormalArgs(dp->u, call.args),
+                                call.callsite);
+          linked.site = dp->site;         // original defining site
+          linked.path_id = call.path_id;  // caller's path context
+          linked.degraded = dp->degraded || callee->degraded;
           imported_defs.push_back(std::move(linked));
-          ++imported;
-          ++stats.defs_propagated;
         }
+        counters.defs_propagated += callee->escaping_defs.size();
 
         // -- ForwardUndefinedUse: lift unresolved uses into the caller -
-        size_t forwarded = 0;
-        for (const UseRecord& use : callee.undefined_uses) {
-          if (forwarded >= config.max_imported_per_callsite) break;
-          SymRef root = RootPointerOf(use.u);
-          if (!root || root->kind() != SymKind::kArg) continue;
+        for (const UseRecord* use : callee->forwarded_uses) {
           UseRecord lifted;
-          lifted.u = ReplaceFormalArgs(use.u, call.args);
-          lifted.site = use.site;
+          lifted.u = ReplaceFormalArgs(use->u, call.args);
+          lifted.site = use->site;
           lifted.path_id = call.path_id;
           imported_uses.push_back(std::move(lifted));
-          ++forwarded;
-          ++stats.uses_forwarded;
         }
+        counters.uses_forwarded += callee->forwarded_uses.size();
       }
     }
     summary.def_pairs.insert(summary.def_pairs.end(),
@@ -440,7 +431,111 @@ ProgramAnalysis Link(const Program& program, const CallGraph& graph,
         summary.undefined_uses.end(),
         std::make_move_iterator(imported_uses.begin()),
         std::make_move_iterator(imported_uses.end()));
+    return counters;
+  }
 
+ private:
+  const CalleeView* ViewOf(const std::string& name) {
+    auto it = linked_.find(name);
+    if (it == linked_.end()) return nullptr;
+    auto [view_it, inserted] = views_.try_emplace(&it->second);
+    CalleeView& view = view_it->second;
+    if (!inserted) return &view;
+    const FunctionSummary& callee = it->second;
+    view.ret = RepresentativeReturn(callee);
+    view.degraded = callee.degraded;
+    view.ret_degraded = callee.degraded || callee.ret_degraded;
+    view.escaping_defs = callee.EscapingDefs();
+    if (view.escaping_defs.size() > cap_) view.escaping_defs.resize(cap_);
+    for (const UseRecord& use : callee.undefined_uses) {
+      if (view.forwarded_uses.size() >= cap_) break;
+      SymRef root = RootPointerOf(use.u);
+      if (root && root->kind() == SymKind::kArg) {
+        view.forwarded_uses.push_back(&use);
+      }
+    }
+    return &view;
+  }
+
+  /// ReplaceRetVariable: resolves ret_{site} in the caller. A return
+  /// value minted by a degraded callee (directly, or transitively via
+  /// its own callees) is an over-approximation: the substituted pairs
+  /// carry the degraded flag and the caller's returns are marked
+  /// contaminated, so the path finder can suppress flows built on
+  /// guessed data.
+  void ReplaceRet(const CallEvent& call, const CalleeView& callee,
+                  FunctionSummary& summary, LinkCounters& counters) {
+    SymRef ret_sym = SymExpr::Ret(call.callsite);
+    SymRef value = RehashHeap(ReplaceFormalArgs(callee.ret, call.args),
+                              call.callsite);
+    size_t replaced = 0;
+    for (DefPair& dp : summary.def_pairs) {
+      bool touched = false;
+      if (dp.d && dp.d->Contains(ret_sym)) {
+        dp.d = SymExpr::Replace(dp.d, ret_sym, value);
+        touched = true;
+      }
+      if (dp.u && dp.u->Contains(ret_sym)) {
+        dp.u = SymExpr::Replace(dp.u, ret_sym, value);
+        touched = true;
+      }
+      if (touched) {
+        ++replaced;
+        if (callee.ret_degraded) dp.degraded = true;
+      }
+    }
+    for (SymRef& rv : summary.return_values) {
+      if (rv && rv->Contains(ret_sym)) {
+        rv = SymExpr::Replace(rv, ret_sym, value);
+        ++replaced;
+        if (callee.ret_degraded) summary.ret_degraded = true;
+      }
+    }
+    counters.rets_replaced += replaced;
+    // No ret_{site} is left unless `value` brought it back, along with
+    // any other ret sites it carries.
+    if (replaced) CollectRetSites(value, ret_sites_);
+  }
+
+  const std::map<std::string, FunctionSummary>& linked_;
+  const size_t cap_;
+  std::unordered_map<const FunctionSummary*, CalleeView> views_;
+  std::unordered_set<uint32_t> ret_sites_;
+};
+
+/// One link phase: links, in `order`, every function `base` holds a
+/// summary for against the summaries already in `analysis`, moving
+/// each into `analysis.summaries`. Fills the entries `per_function`
+/// (may be null) already has. Returns the work done.
+LinkCounters LinkPass(const Program& program,
+                      const std::vector<std::string>& order,
+                      std::map<std::string, FunctionSummary>& base,
+                      ProgramAnalysis& analysis, const InterprocConfig& config,
+                      std::map<std::string, LinkCounters>* per_function) {
+  obs::Tracer& tracer = obs::Tracer::Global();
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  obs::EventStream& events = obs::EventStream::Global();
+  if (events.enabled()) {
+    events.Emit(obs::Event("phase_begin").Str("phase", "link"));
+  }
+  // Sequential in bottom-up order: each caller needs its callees'
+  // linked summaries. Each base map node moves into the result.
+  obs::Span link_span(tracer, "phase", "link");
+  obs::Stopwatch link_watch;
+  LinkKernel kernel(analysis.summaries, config);
+  LinkCounters work;
+  size_t functions = 0;
+  for (const std::string& name : order) {
+    auto node = base.extract(name);
+    const Function* fn = program.FindFunction(name);
+    if (!fn || node.empty()) continue;
+    LinkCounters counters = kernel.Link(*fn, node.mapped());
+    work += counters;
+    ++functions;
+    if (per_function) {
+      auto it = per_function->find(name);
+      if (it != per_function->end()) it->second = counters;
+    }
     analysis.summaries.insert(std::move(node));
   }
   link_span.Finish();
@@ -449,10 +544,11 @@ ProgramAnalysis Link(const Program& program, const CallGraph& graph,
         obs::Event("phase_end")
             .Str("phase", "link")
             .Double("duration_ms", link_watch.Seconds() * 1e3)
+            .Num("functions", static_cast<uint64_t>(functions))
             .Num("defs_propagated",
-                 static_cast<uint64_t>(stats.defs_propagated))
+                 static_cast<uint64_t>(work.defs_propagated))
             .Num("uses_forwarded",
-                 static_cast<uint64_t>(stats.uses_forwarded)));
+                 static_cast<uint64_t>(work.uses_forwarded)));
   }
 
   if (config.apply_alias && config.alias_mode == AliasMode::kOnDemandSSE) {
@@ -460,20 +556,166 @@ ProgramAnalysis Link(const Program& program, const CallGraph& graph,
         std::make_shared<OnDemandAliasOracle>(config.budget);
   }
 
-  registry.counter("link.defs_propagated").Add(stats.defs_propagated);
-  registry.counter("link.uses_forwarded").Add(stats.uses_forwarded);
-  registry.counter("link.rets_replaced").Add(stats.rets_replaced);
+  registry.counter("link.functions").Add(functions);
+  registry.counter("link.defs_propagated").Add(work.defs_propagated);
+  registry.counter("link.uses_forwarded").Add(work.uses_forwarded);
+  registry.counter("link.rets_replaced").Add(work.rets_replaced);
   // Expression-interner counters cover the factory traffic since the
   // last publish (Summarize's worker pool included).
   ExprInterner::Global().PublishMetrics();
   DTAINT_LOG(obs::LogLevel::kDebug, "interproc",
-             "linked %zu functions (summarized in %.3fs), %zu defs "
-             "propagated, %zu uses forwarded, %zu rets replaced, cache "
-             "%zu/%zu hit/miss",
-             stats.functions_processed, stats.summary_seconds,
-             stats.defs_propagated, stats.uses_forwarded, stats.rets_replaced,
-             stats.cache_hits, stats.cache_misses);
+             "linked %zu functions: %zu defs propagated, %zu uses "
+             "forwarded, %zu rets replaced",
+             functions, work.defs_propagated, work.uses_forwarded,
+             work.rets_replaced);
+  return work;
+}
+
+/// Adds `add` to the report's link counters and takes `remove` off.
+void ApplyLinkCounters(InterprocStats& stats, const LinkCounters& add,
+                       const LinkCounters& remove = {}) {
+  stats.defs_propagated += add.defs_propagated - remove.defs_propagated;
+  stats.uses_forwarded += add.uses_forwarded - remove.uses_forwarded;
+  stats.rets_replaced += add.rets_replaced - remove.rets_replaced;
+}
+
+std::set<std::string> CallersClosure(const CallGraph& graph,
+                                     std::vector<std::string> work) {
+  std::set<std::string> closure;
+  while (!work.empty()) {
+    std::string name = std::move(work.back());
+    work.pop_back();
+    if (!closure.insert(name).second) continue;
+    for (const std::string& caller : graph.Callers(name)) {
+      work.push_back(caller);
+    }
+  }
+  return closure;
+}
+
+/// resolved_targets of every indirect call site, by function.
+std::map<std::string, std::vector<std::vector<std::string>>> IndirectTargets(
+    const Program& program) {
+  std::map<std::string, std::vector<std::vector<std::string>>> targets;
+  for (const auto& [name, fn] : program.functions) {
+    for (const CallSite& cs : fn.callsites) {
+      if (cs.is_indirect) targets[name].push_back(cs.resolved_targets);
+    }
+  }
+  return targets;
+}
+
+/// Functions whose linked summary a resolution can change: the
+/// callers-closure, in `graph`, of every function with an indirect call
+/// site or in a recursive SCC.
+std::set<std::string> RelinkCandidates(const Program& program,
+                                       const CallGraph& graph) {
+  std::map<int, size_t> scc_size;
+  for (const auto& [name, id] : graph.SccIds()) ++scc_size[id];
+  std::vector<std::string> work;
+  for (const auto& [name, id] : graph.SccIds()) {
+    if (scc_size[id] > 1) work.push_back(name);
+  }
+  for (const auto& [name, fn] : program.functions) {
+    for (const CallSite& cs : fn.callsites) {
+      if (cs.is_indirect) {
+        work.push_back(name);
+        break;
+      }
+    }
+  }
+  return CallersClosure(graph, std::move(work));
+}
+
+}  // namespace
+
+ProgramAnalysis Link(const Program& program, const CallGraph& graph,
+                     BaseSummaries base, const InterprocConfig& config) {
+  ProgramAnalysis analysis;
+  analysis.stats = std::move(base.stats);
+  ApplyLinkCounters(analysis.stats,
+                  LinkPass(program, graph.BottomUpOrder(), base.summaries,
+                           analysis, config, nullptr));
   return analysis;
+}
+
+Linker::Linker(const Program& program, const InterprocConfig& config)
+    : program_(program), config_(config) {}
+
+ProgramAnalysis Linker::Link(const CallGraph& graph, BaseSummaries base) {
+  order_ = graph.BottomUpOrder();
+  for (const std::string& name : RelinkCandidates(program_, graph)) {
+    auto it = base.summaries.find(name);
+    if (it == base.summaries.end()) continue;
+    kept_.emplace(name, it->second);
+    kept_counters_[name];
+  }
+  targets_ = IndirectTargets(program_);
+  ProgramAnalysis analysis;
+  analysis.stats = std::move(base.stats);
+  ApplyLinkCounters(analysis.stats,
+                  LinkPass(program_, order_, base.summaries, analysis,
+                           config_, &kept_counters_));
+  return analysis;
+}
+
+size_t Linker::Relink(ProgramAnalysis& analysis) {
+  // The kept summaries are released whatever this call finds.
+  std::map<std::string, FunctionSummary> kept = std::exchange(kept_, {});
+  std::map<std::string, LinkCounters> kept_counters =
+      std::exchange(kept_counters_, {});
+  auto targets = IndirectTargets(program_);
+  std::vector<std::string> owners;
+  for (const auto& [name, fn_targets] : targets) {
+    auto it = targets_.find(name);
+    if (it == targets_.end() || it->second != fn_targets) {
+      owners.push_back(name);
+    }
+  }
+  targets_ = std::move(targets);
+  if (owners.empty()) return 0;
+  CallGraph graph = CallGraph::Build(program_);
+  std::vector<std::string> order = graph.BottomUpOrder();
+  // Tarjan's inner order decides which same-SCC callees a member sees
+  // linked: an SCC whose members changed relative order is dirty too.
+  std::map<std::string, size_t> old_pos;
+  for (size_t i = 0; i < order_.size(); ++i) old_pos[order_[i]] = i;
+  const std::map<std::string, int>& scc_ids = graph.SccIds();
+  for (size_t begin = 0, end = 0; begin < order.size(); begin = end) {
+    const int id = scc_ids.at(order[begin]);
+    bool reordered = false;
+    for (end = begin + 1; end < order.size() && scc_ids.at(order[end]) == id;
+         ++end) {
+      reordered = reordered || old_pos[order[end]] < old_pos[order[end - 1]];
+    }
+    if (reordered) {
+      owners.insert(owners.end(), order.begin() + begin, order.begin() + end);
+    }
+  }
+  order_ = std::move(order);
+
+  // Each dirty function leaves the linked map and is linked again from
+  // its kept base summary, so it sees exactly the callees a full Link
+  // would have linked before it.
+  std::map<std::string, FunctionSummary> base;
+  std::map<std::string, LinkCounters> relinked;
+  LinkCounters stale;
+  for (const std::string& name : CallersClosure(graph, std::move(owners))) {
+    auto node = kept.extract(name);
+    // Link kept every function a resolution can make dirty.
+    assert(!node.empty());
+    if (node.empty()) continue;
+    base.insert(std::move(node));
+    stale += kept_counters[name];
+    relinked[name];
+    analysis.summaries.erase(name);
+  }
+  kept.clear();
+  ApplyLinkCounters(analysis.stats,
+                    LinkPass(program_, order_, base, analysis, config_,
+                             &relinked),
+                    stale);
+  return relinked.size();
 }
 
 ProgramAnalysis RunBottomUp(const Program& program, const CallGraph& graph,

@@ -16,8 +16,28 @@
 //  * the callee's undefined uses are likewise rewritten and forwarded
 //    to the caller (ForwardUndefinedUse).
 //
-// Linking is a cheap substitution pass; after indirect-call resolution
-// DTaint links the same base summaries again. This is the structural
+// Cost model. A summary holds one CallEvent per explored *path* through
+// a call site, so events outnumber distinct call sites about ten to one.
+// Link therefore derives what callers read from a callee (representative
+// return, escaping defs, forwardable uses) once per callee, and runs the
+// ret_{site} replacement scan over the caller's pairs only for sites
+// whose ret symbol still occurs there: a scan at site X removes every
+// ret_X unless the substituted value itself contains ret_X, and adds the
+// ret sites that value brings in. What remains per event is the output
+// itself — the imported pairs and uses, each rewritten formal->actual.
+//
+// Relink scope. Indirect-call resolution (structure similarity, §III-D)
+// adds call edges after the first link, and the new edges carry flow
+// only once the affected callers are linked again. Linker keeps the
+// base summaries of the functions a resolution can make stale and, on
+// Relink, links again only the dirty ones: the functions owning a newly
+// resolved call site, every member of a recursive SCC whose member
+// order differs between the old and new BottomUpOrder (Tarjan's inner
+// order decides which same-SCC callees a member sees linked), and all
+// their transitive callers in the new graph. Every other linked summary
+// depends only on unchanged callees and stays as the first link left
+// it. The result, counters included, equals a full Link of all base
+// summaries over the new graph. This bottom-up reuse is the structural
 // reason DTaint's DDG generation beats the top-down worklist baseline
 // (paper Table VII).
 #pragma once
@@ -53,8 +73,9 @@ struct InterprocConfig {
   ///    part of the summary-cache fingerprint, so cached eager and
   ///    on-demand summaries never mix.
   AliasMode alias_mode = AliasMode::kEager;
-  /// Cap on defs/uses imported per callsite (keeps linking linear on
-  /// pathological fan-in).
+  /// Cap on the defs, and separately on the uses, imported from one
+  /// target per call *event* (one event per explored path through a
+  /// call site), which keeps linking linear on pathological fan-in.
   size_t max_imported_per_callsite = 256;
   /// Worker threads for Summarize. Per-function analyses are
   /// independent, and results are identical for any thread count (the
@@ -152,6 +173,64 @@ BaseSummaries Summarize(const Program& program, const CallGraph& graph,
 /// The result's stats are `base.stats` plus the link counters.
 ProgramAnalysis Link(const Program& program, const CallGraph& graph,
                      BaseSummaries base, const InterprocConfig& config = {});
+
+/// The link counters InterprocStats reports, for one function or a pass.
+struct LinkCounters {
+  size_t defs_propagated = 0;
+  size_t uses_forwarded = 0;
+  size_t rets_replaced = 0;
+
+  LinkCounters& operator+=(const LinkCounters& other);
+};
+
+/// Phase 2 across indirect-call resolution (see "Relink scope" above):
+///
+///   Linker linker(program, config);
+///   ProgramAnalysis analysis = linker.Link(graph, std::move(base));
+///   ResolveIndirectCalls(program, analysis.summaries, ...);
+///   linker.Relink(analysis);
+///
+/// `program` must outlive the Linker; between Link and Relink only
+/// CallSite::resolved_targets of indirect call sites may change.
+class Linker {
+ public:
+  explicit Linker(const Program& program,
+                  const InterprocConfig& config = {});
+
+  /// The free Link, keeping copies of the base summaries a resolution
+  /// can make stale: the callers-closure of every function with an
+  /// indirect call site or in a recursive SCC.
+  ProgramAnalysis Link(const CallGraph& graph, BaseSummaries base);
+
+  /// Relinks the functions whose linked summaries the resolved targets
+  /// added since Link change, over the program's new call graph, with a
+  /// fresh on-demand alias oracle, and releases the kept summaries.
+  /// Returns how many functions it relinked (0 when no target was
+  /// added). Call it once, after the one resolution pass.
+  size_t Relink(ProgramAnalysis& analysis);
+
+ private:
+  const Program& program_;
+  InterprocConfig config_;
+  std::vector<std::string> order_;  // BottomUpOrder of the linked graph
+  std::map<std::string, FunctionSummary> kept_;
+  std::map<std::string, LinkCounters> kept_counters_;
+  /// resolved_targets of every indirect call site, by function, at Link.
+  std::map<std::string, std::vector<std::vector<std::string>>> targets_;
+};
+
+/// Algorithm 2's rewrites of a callee's values into a caller, shared
+/// with the reference linker the tests hold Link to:
+///  * ReplaceFormalArgs: the formals arg_0, arg_1, ... in `expr` are
+///    replaced in turn by the matching actual argument (unmapped
+///    formals stay);
+///  * RehashHeap: heap identities are re-keyed with the callsite;
+///  * RepresentativeReturn: the callee return value callers substitute
+///    for ret_{site}, preferring one that carries structure.
+SymRef ReplaceFormalArgs(const SymRef& expr,
+                         const std::vector<SymRef>& actual_args);
+SymRef RehashHeap(const SymRef& expr, uint32_t callsite);
+SymRef RepresentativeReturn(const FunctionSummary& callee);
 
 /// Link(Summarize(...)): both phases over one call graph.
 ProgramAnalysis RunBottomUp(const Program& program, const CallGraph& graph,

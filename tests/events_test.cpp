@@ -229,6 +229,13 @@ TEST(EventStream, RelinkedBinarySummarizesEachFunctionOnce) {
   std::map<std::string, uint64_t> counts = CountsFromFile(path);
   EXPECT_EQ(counts["function_begin"], functions);
   EXPECT_EQ(counts["function_end"], functions);
+  // The first link covers every function, the relink only the
+  // resolving function and its callers.
+  const uint64_t linked = report->metrics.CounterValue("link.functions");
+  EXPECT_GT(linked, functions);
+  EXPECT_LT(linked, 2 * functions);
+  // lift, summary, link, structsim, the relink, pathfind, sanitize.
+  EXPECT_EQ(counts["phase_end"], 7u);
 }
 
 TEST(EventStream, DisabledStreamEmitsNothingAndCountsZero) {
