@@ -31,8 +31,9 @@ int main(int argc, char** argv) {
     auto binary = BinaryLoader::Load(file->bytes);
     Result<AnalysisReport> report = InvalidArgument("not analyzed");
     DetectionScore score;
-    // One run per image: detection time is gated by ratio, the zero-day
-    // rediscovery tallies are deterministic counts held exactly.
+    // One run per image: detection time and each phase's share of it
+    // are gated by ratio, the zero-day rediscovery tallies are
+    // deterministic counts held exactly.
     harness.Run(
         spec.firmware.vendor + "_" + spec.firmware.product,
         [&](bench::Rep& rep) {
@@ -43,6 +44,11 @@ int main(int argc, char** argv) {
           if (!report.ok()) return;
           score = ScoreFindings(report->findings, fw->ground_truth);
           rep.Value("total_seconds", report->total_seconds);
+          for (const auto& [phase, seconds] :
+               report->phase_seconds.entries()) {
+            rep.Value(phase + "_seconds", seconds);
+          }
+          rep.Value("unattributed_seconds", report->unattributed_seconds());
         });
     if (!report.ok()) return harness.Finish(false);
 

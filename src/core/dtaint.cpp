@@ -5,6 +5,7 @@
 
 #include "src/obs/events.h"
 #include "src/obs/log.h"
+#include "src/obs/phase.h"
 #include "src/obs/stopwatch.h"
 #include "src/obs/trace.h"
 #include "src/resilience/fault.h"
@@ -27,14 +28,14 @@ Result<AnalysisReport> DTaint::Analyze(const Binary& binary) const {
 
 Result<AnalysisReport> DTaint::AnalyzeFunctions(
     const Binary& binary, const std::vector<std::string>& only) const {
-  obs::Tracer& tracer = obs::Tracer::Global();
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   obs::Stopwatch t_total;
   AnalysisReport report;
   report.binary_name = binary.soname;
   report.arch = binary.arch;
+  obs::CollectPhases collect(report.phase_seconds);
   // Named from `binary`: `report` is moved out before the span ends.
-  obs::Span binary_span(tracer, "binary", binary.soname);
+  obs::Span binary_span(obs::Tracer::Global(), "binary", binary.soname);
   obs::EventStream& events = obs::EventStream::Global();
   obs::MetricsSnapshot metrics_before = registry.Snapshot();
   if (events.enabled()) {
@@ -51,12 +52,7 @@ Result<AnalysisReport> DTaint::AnalyzeFunctions(
              report.binary_name.c_str());
 
   // 1. Lift and structure the whole binary.
-  obs::Stopwatch t_ssa;
-  obs::Span lift_span(tracer, "phase", "lift");
-  obs::Stopwatch t_lift;
-  if (events.enabled()) {
-    events.Emit(obs::Event("phase_begin").Str("phase", "lift"));
-  }
+  obs::PhaseScope lift("lift");
   CfgBuilder builder(binary);
   auto program_or = builder.BuildProgram();
   if (!program_or.ok()) {
@@ -66,7 +62,6 @@ Result<AnalysisReport> DTaint::AnalyzeFunctions(
     return program_or.status();
   }
   Program program = std::move(*program_or);
-  lift_span.Finish();
   for (const auto& [fn_name, status] : program.lift_failures) {
     Incident incident;
     incident.binary = report.binary_name;
@@ -84,19 +79,15 @@ Result<AnalysisReport> DTaint::AnalyzeFunctions(
   report.blocks = program.TotalBlocks();
   registry.counter("lift.functions").Add(report.functions);
   registry.counter("lift.blocks").Add(report.blocks);
-  if (events.enabled()) {
-    events.Emit(obs::Event("phase_end")
-                    .Str("phase", "lift")
-                    .Double("duration_ms", t_lift.Seconds() * 1e3)
-                    .Num("functions", static_cast<uint64_t>(report.functions))
-                    .Num("blocks", static_cast<uint64_t>(report.blocks))
-                    .Num("lift_failures",
-                         static_cast<uint64_t>(
-                             program.lift_failures.size())));
-  }
+  lift.Num("functions", report.functions)
+      .Num("blocks", report.blocks)
+      .Num("lift_failures", program.lift_failures.size())
+      .Finish();
 
-  // Optional focus filter: keep the named functions plus everything
-  // transitively reachable from them.
+  // 2. The call graph of the functions to analyze. An optional focus
+  // filter keeps the named functions plus everything transitively
+  // reachable from them.
+  obs::PhaseScope callgraph("callgraph");
   std::set<std::string> keep;
   if (!only.empty()) {
     // Seed + direct-call closure. Address-taken functions stay too:
@@ -131,14 +122,14 @@ Result<AnalysisReport> DTaint::AnalyzeFunctions(
     }
   }
   report.analyzed_functions = program.functions.size();
+  CallGraph graph = CallGraph::Build(program);
+  callgraph.Finish();
 
-  // 2. Intraprocedural symbolic analysis and alias recognition, once
-  // per function; Algorithm-2 linking.
+  // 3. Intraprocedural symbolic analysis and alias recognition, once
+  // per function (the summary phase); Algorithm-2 linking (link).
   SymEngine engine(binary, config_.engine);
   InterprocConfig interproc_config = config_.interproc;
   interproc_config.apply_alias = config_.enable_alias;
-
-  CallGraph graph = CallGraph::Build(program);
   BaseSummaries base = Summarize(program, graph, engine, interproc_config);
   // Only a structsim resolution can follow; then the linker keeps the
   // base summaries the relink needs.
@@ -147,17 +138,11 @@ Result<AnalysisReport> DTaint::AnalyzeFunctions(
       config_.enable_structsim
           ? linker.Link(graph, std::move(base))
           : Link(program, graph, std::move(base), interproc_config);
-  report.ssa_seconds = t_ssa.Seconds();
 
-  // 3. Indirect-call resolution via structure-layout similarity, then
+  // 4. Indirect-call resolution via structure-layout similarity, then
   // a relink of what the resolved edges change, so flows cross them.
-  obs::Stopwatch t_ddg;
   if (config_.enable_structsim) {
-    obs::Span structsim_span(tracer, "phase", "structsim");
-    obs::Stopwatch t_structsim;
-    if (events.enabled()) {
-      events.Emit(obs::Event("phase_begin").Str("phase", "structsim"));
-    }
+    obs::PhaseScope structsim("structsim");
     // In on-demand alias mode the oracle adds the SSE resolution tier:
     // call-target SSEs matched against linked function-pointer stores
     // and their alias twins (null oracle = eager mode, tier disabled).
@@ -166,58 +151,31 @@ Result<AnalysisReport> DTaint::AnalyzeFunctions(
     report.indirect_calls_resolved = resolutions.size();
     registry.counter("structsim.indirect_calls_resolved")
         .Add(report.indirect_calls_resolved);
-    structsim_span.Finish();
-    if (events.enabled()) {
-      events.Emit(obs::Event("phase_end")
-                      .Str("phase", "structsim")
-                      .Double("duration_ms", t_structsim.Seconds() * 1e3)
-                      .Num("resolved",
-                           static_cast<uint64_t>(
-                               report.indirect_calls_resolved)));
-    }
+    structsim.Num("resolved", report.indirect_calls_resolved).Finish();
     linker.Relink(analysis);
   }
   report.interproc_stats = analysis.stats;
   report.call_graph_edges = program.CallEdgeCount();
 
-  // 4. Sink-to-source path search + sanitization checks.
+  // 5. Sink-to-source path search + sanitization checks.
   if (FaultPlan::Global().ShouldFail(FaultSite::kPathfinder,
                                      report.binary_name)) {
     return Internal("injected pathfinder fault: " + report.binary_name);
   }
-  PathFinder finder(program, analysis, config_.pathfinder);
-  report.sink_count = finder.SinkCount();
-  obs::Span pathfind_span(tracer, "phase", "pathfind");
-  obs::Stopwatch t_pathfind;
-  if (events.enabled()) {
-    events.Emit(obs::Event("phase_begin").Str("phase", "pathfind"));
+  std::vector<TaintPath> paths;
+  {
+    obs::PhaseScope pathfind("pathfind");
+    PathFinder finder(program, analysis, config_.pathfinder);
+    report.sink_count = finder.SinkCount();
+    paths = finder.FindAll();
+    report.total_paths = paths.size();
+    report.pathfinder_stats = finder.stats();
+    pathfind.Num("paths", report.total_paths).Num("sinks", report.sink_count);
   }
-  std::vector<TaintPath> paths = finder.FindAll();
-  pathfind_span.Finish();
-  report.total_paths = paths.size();
-  report.pathfinder_stats = finder.stats();
-  if (events.enabled()) {
-    events.Emit(obs::Event("phase_end")
-                    .Str("phase", "pathfind")
-                    .Double("duration_ms", t_pathfind.Seconds() * 1e3)
-                    .Num("paths", static_cast<uint64_t>(report.total_paths))
-                    .Num("sinks", static_cast<uint64_t>(report.sink_count)));
-    events.Emit(obs::Event("phase_begin").Str("phase", "sanitize"));
-  }
-  obs::Span sanitize_span(tracer, "phase", "sanitize");
-  obs::Stopwatch t_sanitize;
+  obs::PhaseScope sanitize("sanitize");
   std::vector<TaintPath> vulnerable = FilterVulnerable(std::move(paths));
-  sanitize_span.Finish();
   report.pathfinder_stats.sanitized_away =
       report.total_paths - vulnerable.size();
-  if (events.enabled()) {
-    events.Emit(obs::Event("phase_end")
-                    .Str("phase", "sanitize")
-                    .Double("duration_ms", t_sanitize.Seconds() * 1e3)
-                    .Num("sanitized",
-                         static_cast<uint64_t>(
-                             report.pathfinder_stats.sanitized_away)));
-  }
   // Paths riding on degraded (over-approximated) flow are withheld:
   // reporting them would let a *smaller* budget produce *more*
   // findings. They count as suppressed and flip `complete` instead.
@@ -236,6 +194,8 @@ Result<AnalysisReport> DTaint::AnalyzeFunctions(
   for (TaintPath& path : vulnerable) {
     report.findings.push_back({std::move(path)});
   }
+  sanitize.Num("sanitized", report.pathfinder_stats.sanitized_away)
+      .Finish();
   if (events.enabled()) {
     for (const Finding& finding : report.findings) {
       const TaintPath& p = finding.path;
@@ -264,8 +224,23 @@ Result<AnalysisReport> DTaint::AnalyzeFunctions(
                     report.suppressed_findings == 0 &&
                     report.degraded_functions == 0 &&
                     report.pathfinder_stats.pruned_by_depth == 0;
-  report.ddg_seconds = t_ddg.Seconds();
+
+  // 6. Free the program, the call graph and the linked summaries inside
+  // the measured total, so the binary span and `total` end together.
+  {
+    obs::PhaseScope teardown("teardown");
+    analysis = {};
+    graph = {};
+    program = {};
+  }
   report.total_seconds = t_total.Seconds();
+  binary_span.Finish();
+  const obs::PhaseTimings& phases = report.phase_seconds;
+  report.ssa_seconds = phases.Seconds("lift") + phases.Seconds("callgraph") +
+                       phases.Seconds("summary") + phases.Seconds("link");
+  report.ddg_seconds = phases.Seconds("structsim") +
+                       phases.Seconds("relink") + phases.Seconds("pathfind") +
+                       phases.Seconds("sanitize");
   // Fold the path-search/sanitization expression traffic into the
   // intern.* counters before the per-run delta is taken.
   ExprInterner::Global().PublishMetrics();

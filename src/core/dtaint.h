@@ -8,6 +8,7 @@
 // path search -> sanitization constraint checks -> vulnerability report.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -20,6 +21,7 @@
 #include "src/core/sanitizer.h"
 #include "src/core/structsim.h"
 #include "src/obs/metrics.h"
+#include "src/obs/phase.h"
 #include "src/util/status.h"
 
 namespace dtaint {
@@ -57,9 +59,16 @@ struct AnalysisReport {
   std::vector<Finding> findings;
 
   // Phase timings (paper Tables VI/VII).
-  double ssa_seconds = 0.0;        // lifting + symbolic analysis
-  double ddg_seconds = 0.0;        // alias + structsim + linking + paths
+  double ssa_seconds = 0.0;  // lift + callgraph + summary + link
+  double ddg_seconds = 0.0;  // structsim + relink + pathfind + sanitize
   double total_seconds = 0.0;
+  /// Wall seconds of each phase that ran, as its obs::PhaseScope
+  /// measured it, in the order the phases ran.
+  obs::PhaseTimings phase_seconds;
+  /// The part of `total_seconds` no phase accounts for.
+  double unattributed_seconds() const {
+    return std::max(0.0, total_seconds - phase_seconds.Total());
+  }
 
   // Internals for inspection.
   InterprocStats interproc_stats;

@@ -19,25 +19,50 @@
 #include "src/obs/events.h"
 #include "src/obs/log.h"
 #include "src/obs/metrics.h"
+#include "src/obs/phase.h"
 #include "src/obs/stopwatch.h"
 #include "src/obs/trace.h"
 #include "src/util/hash.h"
 
 namespace dtaint {
 
+namespace {
+
+/// `expr` over the children `lhs` and `rhs`, rebuilt through the
+/// normalizing factories; `expr` itself when both are unchanged.
+SymRef WithChildren(const SymRef& expr, SymRef lhs, SymRef rhs) {
+  if (lhs.get() == expr->lhs().get() && rhs.get() == expr->rhs().get()) {
+    return expr;
+  }
+  if (expr->kind() == SymKind::kDeref) {
+    return SymExpr::Deref(std::move(lhs), expr->deref_size());
+  }
+  if (expr->kind() == SymKind::kBin) {
+    return SymExpr::Bin(expr->binop(), std::move(lhs), std::move(rhs));
+  }
+  return expr;
+}
+
+}  // namespace
+
+// One walk maps every formal at once, so an actual that is itself a
+// formal (a wrapper passing its own arguments on, shifted or swapped)
+// is never substituted a second time.
 SymRef ReplaceFormalArgs(const SymRef& expr,
                          const std::vector<SymRef>& actual_args) {
   // O(1) bail-out for the common case: nothing argument-rooted inside.
   if (!expr->ContainsKind(SymKind::kArg)) return expr;
-  SymRef result = expr;
-  for (int i = 0; i < kMaxModeledArgs; ++i) {
-    SymRef formal = SymExpr::Arg(i);
-    if (!result->Contains(formal)) continue;
-    if (i < static_cast<int>(actual_args.size()) && actual_args[i]) {
-      result = SymExpr::Replace(result, formal, actual_args[i]);
+  if (expr->kind() == SymKind::kArg) {
+    const int i = expr->arg_index();
+    if (i < kMaxModeledArgs && i < static_cast<int>(actual_args.size()) &&
+        actual_args[i]) {
+      return actual_args[i];
     }
+    return expr;
   }
-  return result;
+  return WithChildren(
+      expr, expr->lhs() ? ReplaceFormalArgs(expr->lhs(), actual_args) : nullptr,
+      expr->rhs() ? ReplaceFormalArgs(expr->rhs(), actual_args) : nullptr);
 }
 
 // The callee's heap object hash is extended by the caller's callsite
@@ -49,19 +74,9 @@ SymRef RehashHeap(const SymRef& expr, uint32_t callsite) {
   if (expr->kind() == SymKind::kHeap) {
     return SymExpr::Heap(HashCombine(expr->heap_id(), callsite));
   }
-  if (!expr->lhs() && !expr->rhs()) return expr;
-  SymRef lhs = expr->lhs() ? RehashHeap(expr->lhs(), callsite) : nullptr;
-  SymRef rhs = expr->rhs() ? RehashHeap(expr->rhs(), callsite) : nullptr;
-  if (lhs.get() == expr->lhs().get() && rhs.get() == expr->rhs().get()) {
-    return expr;
-  }
-  if (expr->kind() == SymKind::kDeref) {
-    return SymExpr::Deref(lhs, expr->deref_size());
-  }
-  if (expr->kind() == SymKind::kBin) {
-    return SymExpr::Bin(expr->binop(), lhs, rhs);
-  }
-  return expr;
+  return WithChildren(
+      expr, expr->lhs() ? RehashHeap(expr->lhs(), callsite) : nullptr,
+      expr->rhs() ? RehashHeap(expr->rhs(), callsite) : nullptr);
 }
 
 // Prefers a value that carries structure (argument passthrough, heap
@@ -100,6 +115,7 @@ int AliasModeKey(const InterprocConfig& config) {
 BaseSummaries Summarize(const Program& program, const CallGraph& graph,
                         const SymEngine& engine,
                         const InterprocConfig& config) {
+  obs::PhaseScope phase("summary");
   BaseSummaries result;
   InterprocStats& stats = result.stats;
   const std::vector<std::string> order = graph.BottomUpOrder();
@@ -233,31 +249,21 @@ BaseSummaries Summarize(const Program& program, const CallGraph& graph,
   int threads = static_cast<int>(std::min<size_t>(
       static_cast<size_t>(std::max(1, config.num_threads)),
       std::max<size_t>(1, order.size())));
-  if (events.enabled()) {
-    events.Emit(obs::Event("phase_begin")
-                    .Str("phase", "summary")
-                    .Num("functions", static_cast<uint64_t>(order.size())));
-  }
-  {
-    obs::Span summary_span(tracer, "phase", "summary");
-    obs::Stopwatch phase1;
-    if (threads == 1) {
-      for (size_t i = 0; i < order.size(); ++i) analyze_one(i);
-    } else {
-      std::atomic<size_t> next{0};
-      auto worker = [&] {
-        for (;;) {
-          size_t i = next.fetch_add(1);
-          if (i >= order.size()) return;
-          analyze_one(i);
-        }
-      };
-      std::vector<std::thread> pool;
-      pool.reserve(threads);
-      for (int t = 0; t < threads; ++t) pool.emplace_back(worker);
-      for (std::thread& t : pool) t.join();
-    }
-    stats.summary_seconds = phase1.Seconds();
+  if (threads == 1) {
+    for (size_t i = 0; i < order.size(); ++i) analyze_one(i);
+  } else {
+    std::atomic<size_t> next{0};
+    auto worker = [&] {
+      for (;;) {
+        size_t i = next.fetch_add(1);
+        if (i >= order.size()) return;
+        analyze_one(i);
+      }
+    };
+    std::vector<std::thread> pool;
+    pool.reserve(threads);
+    for (int t = 0; t < threads; ++t) pool.emplace_back(worker);
+    for (std::thread& t : pool) t.join();
   }
   for (size_t i = 0; i < order.size(); ++i) {
     if (fn_budget[i].exhausted_by == BudgetExhaustion::kNone) continue;
@@ -311,18 +317,14 @@ BaseSummaries Summarize(const Program& program, const CallGraph& graph,
     if (summary.truncated) ++stats.truncated_functions;
   }
   stats.functions_processed = result.summaries.size();
-  if (events.enabled()) {
-    events.Emit(
-        obs::Event("phase_end")
-            .Str("phase", "summary")
-            .Double("duration_ms", stats.summary_seconds * 1e3)
-            .Num("functions", static_cast<uint64_t>(order.size()))
-            .Num("cache_hits", static_cast<uint64_t>(stats.cache_hits))
-            .Num("cache_misses", static_cast<uint64_t>(stats.cache_misses)));
-  }
   registry.counter("summary.functions").Add(stats.functions_processed);
   registry.counter("summary.degraded").Add(stats.degraded_functions);
   registry.counter("alias.pairs_added").Add(stats.alias_pairs_added);
+  stats.summary_seconds =
+      phase.Num("functions", order.size())
+          .Num("cache_hits", stats.cache_hits)
+          .Num("cache_misses", stats.cache_misses)
+          .Finish();
   return result;
 }
 
@@ -503,25 +505,19 @@ class LinkKernel {
   std::unordered_set<uint32_t> ret_sites_;
 };
 
-/// One link phase: links, in `order`, every function `base` holds a
-/// summary for against the summaries already in `analysis`, moving
-/// each into `analysis.summaries`. Fills the entries `per_function`
-/// (may be null) already has. Returns the work done.
-LinkCounters LinkPass(const Program& program,
+/// One link pass, inside the caller's `phase`: links, in `order`,
+/// every function `base` holds a summary for against the summaries
+/// already in `analysis`, moving each into `analysis.summaries`. Fills
+/// the entries `per_function` (may be null) already has. Returns the
+/// work done.
+LinkCounters LinkPass(obs::PhaseScope& phase, const Program& program,
                       const std::vector<std::string>& order,
                       std::map<std::string, FunctionSummary>& base,
                       ProgramAnalysis& analysis, const InterprocConfig& config,
                       std::map<std::string, LinkCounters>* per_function) {
-  obs::Tracer& tracer = obs::Tracer::Global();
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-  obs::EventStream& events = obs::EventStream::Global();
-  if (events.enabled()) {
-    events.Emit(obs::Event("phase_begin").Str("phase", "link"));
-  }
   // Sequential in bottom-up order: each caller needs its callees'
   // linked summaries. Each base map node moves into the result.
-  obs::Span link_span(tracer, "phase", "link");
-  obs::Stopwatch link_watch;
   LinkKernel kernel(analysis.summaries, config);
   LinkCounters work;
   size_t functions = 0;
@@ -538,18 +534,9 @@ LinkCounters LinkPass(const Program& program,
     }
     analysis.summaries.insert(std::move(node));
   }
-  link_span.Finish();
-  if (events.enabled()) {
-    events.Emit(
-        obs::Event("phase_end")
-            .Str("phase", "link")
-            .Double("duration_ms", link_watch.Seconds() * 1e3)
-            .Num("functions", static_cast<uint64_t>(functions))
-            .Num("defs_propagated",
-                 static_cast<uint64_t>(work.defs_propagated))
-            .Num("uses_forwarded",
-                 static_cast<uint64_t>(work.uses_forwarded)));
-  }
+  phase.Num("functions", functions)
+      .Num("defs_propagated", work.defs_propagated)
+      .Num("uses_forwarded", work.uses_forwarded);
 
   if (config.apply_alias && config.alias_mode == AliasMode::kOnDemandSSE) {
     analysis.alias_oracle =
@@ -631,11 +618,12 @@ std::set<std::string> RelinkCandidates(const Program& program,
 
 ProgramAnalysis Link(const Program& program, const CallGraph& graph,
                      BaseSummaries base, const InterprocConfig& config) {
+  obs::PhaseScope phase("link");
   ProgramAnalysis analysis;
   analysis.stats = std::move(base.stats);
   ApplyLinkCounters(analysis.stats,
-                  LinkPass(program, graph.BottomUpOrder(), base.summaries,
-                           analysis, config, nullptr));
+                    LinkPass(phase, program, graph.BottomUpOrder(),
+                             base.summaries, analysis, config, nullptr));
   return analysis;
 }
 
@@ -643,6 +631,7 @@ Linker::Linker(const Program& program, const InterprocConfig& config)
     : program_(program), config_(config) {}
 
 ProgramAnalysis Linker::Link(const CallGraph& graph, BaseSummaries base) {
+  obs::PhaseScope phase("link");
   order_ = graph.BottomUpOrder();
   for (const std::string& name : RelinkCandidates(program_, graph)) {
     auto it = base.summaries.find(name);
@@ -654,8 +643,8 @@ ProgramAnalysis Linker::Link(const CallGraph& graph, BaseSummaries base) {
   ProgramAnalysis analysis;
   analysis.stats = std::move(base.stats);
   ApplyLinkCounters(analysis.stats,
-                  LinkPass(program_, order_, base.summaries, analysis,
-                           config_, &kept_counters_));
+                    LinkPass(phase, program_, order_, base.summaries,
+                             analysis, config_, &kept_counters_));
   return analysis;
 }
 
@@ -674,6 +663,7 @@ size_t Linker::Relink(ProgramAnalysis& analysis) {
   }
   targets_ = std::move(targets);
   if (owners.empty()) return 0;
+  obs::PhaseScope phase("relink");
   CallGraph graph = CallGraph::Build(program_);
   std::vector<std::string> order = graph.BottomUpOrder();
   // Tarjan's inner order decides which same-SCC callees a member sees
@@ -712,8 +702,8 @@ size_t Linker::Relink(ProgramAnalysis& analysis) {
   }
   kept.clear();
   ApplyLinkCounters(analysis.stats,
-                    LinkPass(program_, order_, base, analysis, config_,
-                             &relinked),
+                    LinkPass(phase, program_, order_, base, analysis,
+                             config_, &relinked),
                     stale);
   return relinked.size();
 }

@@ -109,8 +109,9 @@ struct HotFunction {
 
 /// Summarize fills every field but the three link counters Link adds.
 struct InterprocStats {
-  /// Wall time of phase 1 — per-function summary production (symbolic
-  /// analysis + alias rewrite, or a cache hit). This is exactly the
+  /// Wall time of phase 1, the `summary` phase — per-function summary
+  /// production (symbolic analysis + alias rewrite, or a cache hit),
+  /// as its obs::PhaseScope measured it. This is exactly the
   /// work a summary cache can serve, so bench/cache_warm reports its
   /// cold-vs-warm ratio separately from end-to-end wall time.
   double summary_seconds = 0.0;
@@ -199,14 +200,16 @@ class Linker {
 
   /// The free Link, keeping copies of the base summaries a resolution
   /// can make stale: the callers-closure of every function with an
-  /// indirect call site or in a recursive SCC.
+  /// indirect call site or in a recursive SCC. Both run as the `link`
+  /// phase (obs::PhaseScope).
   ProgramAnalysis Link(const CallGraph& graph, BaseSummaries base);
 
   /// Relinks the functions whose linked summaries the resolved targets
   /// added since Link change, over the program's new call graph, with a
   /// fresh on-demand alias oracle, and releases the kept summaries.
   /// Returns how many functions it relinked (0 when no target was
-  /// added). Call it once, after the one resolution pass.
+  /// added). Call it once, after the one resolution pass. Once a target
+  /// was added, the rest of the call runs as the `relink` phase.
   size_t Relink(ProgramAnalysis& analysis);
 
  private:
@@ -222,8 +225,9 @@ class Linker {
 /// Algorithm 2's rewrites of a callee's values into a caller, shared
 /// with the reference linker the tests hold Link to:
 ///  * ReplaceFormalArgs: the formals arg_0, arg_1, ... in `expr` are
-///    replaced in turn by the matching actual argument (unmapped
-///    formals stay);
+///    replaced simultaneously by the matching actual argument (unmapped
+///    formals stay; an actual that is itself a formal is not replaced
+///    again);
 ///  * RehashHeap: heap identities are re-keyed with the callsite;
 ///  * RepresentativeReturn: the callee return value callers substitute
 ///    for ret_{site}, preferring one that carries structure.

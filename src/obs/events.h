@@ -19,8 +19,10 @@
 //   corpus_begin / corpus_end    fleet scan brackets (corpus_scan)
 //   image_begin / image_end      per-image outcome, status, duration_ms
 //   binary_begin / binary_end    one Analyze() call
-//   phase_begin / phase_end      lift|summary|link|structsim|pathfind|
-//                                sanitize, with duration_ms and
+//   phase_begin / phase_end      one pair per obs::PhaseScope (lift|
+//                                callgraph|summary|link|structsim|
+//                                relink|pathfind|sanitize|teardown),
+//                                phase_end with duration_ms and
 //                                per-phase gauges (cache hits/misses,
 //                                resolved indirect calls, paths)
 //   function_begin / function_end  per-function summary production:

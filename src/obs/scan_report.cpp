@@ -123,6 +123,7 @@ void FoldEvent(const JsonValue& event, std::string_view type,
     ++agg->findings;
   } else if (type == "binary_end") {
     ++agg->binaries;
+    agg->binary_ms += FieldNum(event, "duration_ms");
   } else if (type == "heartbeat") {
     ++agg->heartbeats;
     agg->last_images_done = static_cast<uint64_t>(FieldNum(event, "images_done"));
@@ -172,6 +173,15 @@ void FinalizeAggregate(ScanAggregate* agg, const ScanReportOptions& options) {
             [](const PhaseRollup& a, const PhaseRollup& b) {
               return a.phase < b.phase;
             });
+  if (agg->binaries > 0) {
+    PhaseRollup unattributed{"unattributed", agg->binaries, agg->binary_ms};
+    for (const PhaseRollup& ph : agg->phases) {
+      unattributed.total_ms -= ph.total_ms;
+    }
+    // A binary still in flight in a torn stream has phases but no end.
+    unattributed.total_ms = std::max(0.0, unattributed.total_ms);
+    agg->phases.push_back(std::move(unattributed));
+  }
   std::sort(agg->functions.begin(), agg->functions.end(),
             [](const FunctionRollup& a, const FunctionRollup& b) {
               if (a.total_ms != b.total_ms) return a.total_ms > b.total_ms;

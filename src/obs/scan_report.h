@@ -13,7 +13,8 @@
 //  * per-image status table — an image_begin with no matching
 //    image_end is reported as "in_flight": that is the image the dead
 //    worker was chewing on;
-//  * phase time breakdown (phase_end durations summed by phase name);
+//  * phase time breakdown (phase_end durations summed by phase name),
+//    and the binaries' time no phase accounts for ("unattributed");
 //  * top-k hot functions by summary-production time;
 //  * incident and degradation counts by phase;
 //  * whether each stream terminated cleanly (stream_end present).
@@ -86,7 +87,9 @@ struct ScanAggregate {
   size_t malformed_lines = 0;
 
   std::vector<ImageRollup> images;  // first-seen order
-  std::vector<PhaseRollup> phases;  // name order
+  /// Name order; FinalizeAggregate appends an "unattributed" row when
+  /// any binary ended: binary_end time no phase_end accounts for.
+  std::vector<PhaseRollup> phases;
   /// All functions seen, time-descending (callers truncate to top-k
   /// via ScanReportOptions before rendering).
   std::vector<FunctionRollup> functions;
@@ -94,6 +97,7 @@ struct ScanAggregate {
   std::map<std::string, uint64_t, std::less<>> events_by_type;
 
   uint64_t binaries = 0;        // binary_end events
+  double binary_ms = 0.0;       // their duration_ms, summed
   uint64_t findings = 0;        // finding events
   uint64_t incidents = 0;
   uint64_t degraded_functions = 0;  // function_end with degraded:true

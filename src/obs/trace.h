@@ -2,8 +2,8 @@
 // JSON ("X" complete events), loadable in chrome://tracing or Perfetto.
 //
 // The pipeline nests spans three deep: binary (one per Analyze call) →
-// phase (lift, summary, structsim, link, pathfind, sanitize) →
-// function (one per intraprocedural symbolic analysis). Nesting is
+// phase (one per obs::PhaseScope, src/obs/phase.h) → function (one
+// per intraprocedural symbolic analysis). Nesting is
 // positional — Chrome reconstructs the stack per thread from
 // timestamps — so spans from the interprocedural worker pool land on
 // their own tracks via obs::ThreadId().

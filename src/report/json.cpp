@@ -84,6 +84,14 @@ std::string ReportToJson(const AnalysisReport& report) {
   json.Number(report.ddg_seconds);
   json.Key("total");
   json.Number(report.total_seconds);
+  if (!report.phase_seconds.entries().empty()) {
+    for (const auto& [phase, seconds] : report.phase_seconds.entries()) {
+      json.Key(phase);
+      json.Number(seconds);
+    }
+    json.Key("unattributed");
+    json.Number(report.unattributed_seconds());
+  }
   json.EndObject();
 
   json.Key("paths");

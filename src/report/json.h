@@ -12,7 +12,8 @@ namespace dtaint {
 
 /// Serializes a full analysis report:
 /// { "binary": ..., "arch": ..., "complete": bool, "shape": {...},
-///   "timings": {...}, "interproc": {...},
+///   "timings_seconds": {ssa, ddg, total, <each phase that ran>,
+///   unattributed}, "interproc": {...},
 ///   "pathfinder": {sinks_visited, paths_explored, pruned_by_depth,
 ///   paths_found, degraded_paths, sanitized_away},
 ///   "resilience": {degraded_functions, truncated_functions,

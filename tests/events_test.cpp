@@ -17,6 +17,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -27,6 +28,7 @@
 #include "src/obs/metrics.h"
 #include "src/obs/scan_report.h"
 #include "src/obs/trace.h"
+#include "src/report/json.h"
 #include "src/synth/firmware_synth.h"
 #include "src/util/json.h"
 
@@ -194,10 +196,10 @@ TEST(EventStream, PipelineEmitsDeterministicCountsAcrossRuns) {
   EXPECT_GT(findings1, 0u);
 }
 
-TEST(EventStream, RelinkedBinarySummarizesEachFunctionOnce) {
-  // A dispatch plant's handler is reachable only through an indirect
-  // call that structure similarity resolves, so this binary is linked
-  // twice; its functions must still be summarized once each.
+/// A dispatch plant's handler is reachable only through an indirect
+/// call that structure similarity resolves, so this binary is linked
+/// twice.
+Result<SynthOutput> DispatchProgram() {
   ProgramSpec spec;
   spec.name = "relink";
   spec.arch = Arch::kDtArm;
@@ -209,7 +211,12 @@ TEST(EventStream, RelinkedBinarySummarizesEachFunctionOnce) {
   p.source = "recv";
   p.sink = "memcpy";
   spec.plants.push_back(p);
-  auto synth = SynthesizeBinary(spec);
+  return SynthesizeBinary(spec);
+}
+
+TEST(EventStream, RelinkedBinarySummarizesEachFunctionOnce) {
+  // Linked twice, yet each function must be summarized once.
+  auto synth = DispatchProgram();
   ASSERT_TRUE(synth.ok()) << synth.status().ToString();
 
   fs::path path = ArtifactDir() / "relink_once.ndjson";
@@ -234,8 +241,106 @@ TEST(EventStream, RelinkedBinarySummarizesEachFunctionOnce) {
   const uint64_t linked = report->metrics.CounterValue("link.functions");
   EXPECT_GT(linked, functions);
   EXPECT_LT(linked, 2 * functions);
-  // lift, summary, link, structsim, the relink, pathfind, sanitize.
-  EXPECT_EQ(counts["phase_end"], 7u);
+  // lift, callgraph, summary, link, structsim, relink, pathfind,
+  // sanitize, teardown.
+  EXPECT_EQ(counts["phase_end"], 9u);
+}
+
+/// Names of the phases in `report->metrics` whose phase.<name>_micros
+/// histogram observed a sample in this run.
+std::set<std::string> HistogramPhases(const AnalysisReport& report) {
+  std::set<std::string> names;
+  for (const auto& [name, stats] : report.metrics.histograms) {
+    const std::string prefix = "phase.", suffix = "_micros";
+    if (stats.count == 0 || !name.starts_with(prefix) ||
+        !name.ends_with(suffix)) {
+      continue;
+    }
+    names.insert(name.substr(prefix.size(),
+                             name.size() - prefix.size() - suffix.size()));
+  }
+  return names;
+}
+
+TEST(PhaseAccounting, FourArtifactsNameTheSamePhases) {
+  auto synth = DispatchProgram();
+  ASSERT_TRUE(synth.ok()) << synth.status().ToString();
+  fs::path path = ArtifactDir() / "phase_artifacts.ndjson";
+  obs::EventStream& events = obs::EventStream::Global();
+  obs::Tracer& tracer = obs::Tracer::Global();
+  ASSERT_TRUE(events.Open(path.string(), "events_test"));
+  tracer.Start();
+  auto report = DTaint().Analyze(synth->binary);
+  tracer.Stop();
+  events.Close("ok");
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ASSERT_GT(report->indirect_calls_resolved, 0u);
+
+  std::set<std::string> spans;
+  auto trace = ParseJson(tracer.ToChromeJson());
+  ASSERT_TRUE(trace.ok()) << trace.status().ToString();
+  for (const JsonValue& event : trace->Find("traceEvents")->array()) {
+    if (event.Find("cat")->string() == "phase") {
+      spans.insert(event.Find("name")->string());
+    }
+  }
+  std::set<std::string> ends;
+  for (const std::string& line : Lines(ReadAll(path))) {
+    auto parsed = ParseJson(line);
+    if (parsed.ok() && parsed->Find("type")->string() == "phase_end") {
+      ends.insert(parsed->Find("phase")->string());
+    }
+  }
+  std::set<std::string> timings;
+  auto json = ParseJson(ReportToJson(*report));
+  ASSERT_TRUE(json.ok()) << json.status().ToString();
+  for (const auto& [key, value] : json->Find("timings_seconds")->object()) {
+    if (key != "ssa" && key != "ddg" && key != "total" &&
+        key != "unattributed") {
+      timings.insert(key);
+    }
+  }
+
+  const std::set<std::string> expected = {
+      "lift",     "callgraph", "summary",  "link",    "structsim",
+      "relink",   "pathfind",  "sanitize", "teardown"};
+  EXPECT_EQ(spans, expected);
+  EXPECT_EQ(ends, expected);
+  EXPECT_EQ(timings, expected);
+  EXPECT_EQ(HistogramPhases(*report), expected);
+}
+
+TEST(PhaseAccounting, PhasesSumToTotalAndRelinkRunsOnlyWhenACallResolved) {
+  auto dispatch = DispatchProgram();
+  ASSERT_TRUE(dispatch.ok()) << dispatch.status().ToString();
+  std::vector<size_t> resolved;
+  for (const Binary& binary : {dispatch->binary, SmallProgram().binary}) {
+    auto report = DTaint().Analyze(binary);
+    ASSERT_TRUE(report.ok());
+    resolved.push_back(report->indirect_calls_resolved);
+    const obs::PhaseTimings& phases = report->phase_seconds;
+    bool relinked = false;
+    for (const auto& [phase, seconds] : phases.entries()) {
+      relinked = relinked || phase == "relink";
+    }
+    EXPECT_EQ(relinked, report->indirect_calls_resolved > 0);
+    EXPECT_EQ(HistogramPhases(*report).count("relink") > 0, relinked);
+
+    const double sum = phases.Total() + report->unattributed_seconds();
+    EXPECT_NEAR(sum, report->total_seconds, 1e-9 * report->total_seconds);
+    EXPECT_LE(phases.Total(), report->total_seconds);
+    EXPECT_DOUBLE_EQ(report->ssa_seconds,
+                     phases.Seconds("lift") + phases.Seconds("callgraph") +
+                         phases.Seconds("summary") + phases.Seconds("link"));
+    EXPECT_DOUBLE_EQ(report->ddg_seconds,
+                     phases.Seconds("structsim") + phases.Seconds("relink") +
+                         phases.Seconds("pathfind") +
+                         phases.Seconds("sanitize"));
+    EXPECT_DOUBLE_EQ(report->interproc_stats.summary_seconds,
+                     phases.Seconds("summary"));
+  }
+  EXPECT_GT(resolved[0], 0u);
+  EXPECT_EQ(resolved[1], 0u);
 }
 
 TEST(EventStream, DisabledStreamEmitsNothingAndCountsZero) {
@@ -341,12 +446,13 @@ constexpr const char* kCompleteStream =
 {"v":1,"type":"function_end","ts_ms":3,"tid":1,"function":"main","micros":1500,"cached":false,"degraded":false}
 {"v":1,"type":"function_end","ts_ms":4,"tid":1,"function":"helper","micros":500,"cached":true,"degraded":true}
 {"v":1,"type":"finding","ts_ms":5,"tid":0,"class":"command_injection","source":"getenv","sink":"system"}
+{"v":1,"type":"binary_end","ts_ms":5.5,"tid":0,"binary":"httpd","functions":12,"findings":1,"complete":true,"duration_ms":4.0}
 {"v":1,"type":"image_end","ts_ms":6,"tid":0,"image":"A 1","status":"ok","complete":true,"functions":12,"findings":1,"duration_ms":5.0}
 {"v":1,"type":"image_begin","ts_ms":7,"tid":0,"image":"B 2","vendor":"B","product":"2","arch":"mips","packing":"encrypted"}
 {"v":1,"type":"image_end","ts_ms":8,"tid":0,"image":"B 2","status":"unextractable","complete":false,"functions":0,"findings":0,"duration_ms":0.5}
 {"v":1,"type":"heartbeat","ts_ms":9,"tid":2,"images_done":2,"images_total":2,"functions_done":12,"functions_per_sec":4.0,"rss_mb":31.5}
 {"v":1,"type":"corpus_end","ts_ms":10,"tid":0,"images":2,"complete":1}
-{"v":1,"type":"stream_end","ts_ms":11,"tid":0,"outcome":"ok","events":13}
+{"v":1,"type":"stream_end","ts_ms":11,"tid":0,"outcome":"ok","events":14}
 )";
 
 // Killed worker: no stream_end, an incident, and a torn final line.
@@ -367,7 +473,7 @@ TEST(ScanReport, AggregatesCompleteAndTruncatedStreams) {
   EXPECT_EQ(agg.truncated_streams, 1u);
   // "not json" + the torn final line.
   EXPECT_EQ(agg.malformed_lines, 2u);
-  EXPECT_EQ(agg.events, 16u);
+  EXPECT_EQ(agg.events, 17u);
 
   ASSERT_EQ(agg.images.size(), 3u);
   EXPECT_EQ(agg.images[0].image, "A 1");
@@ -390,9 +496,14 @@ TEST(ScanReport, AggregatesCompleteAndTruncatedStreams) {
   EXPECT_EQ(agg.functions[0].function, "main");  // 1.5ms > 0.5ms
   EXPECT_EQ(agg.functions[1].cached, 1u);
 
-  ASSERT_EQ(agg.phases.size(), 1u);
+  ASSERT_EQ(agg.phases.size(), 2u);
   EXPECT_EQ(agg.phases[0].phase, "lift");
   EXPECT_DOUBLE_EQ(agg.phases[0].total_ms, 1.5);
+  // The binary's 4 ms less the 1.5 ms its phases account for.
+  EXPECT_EQ(agg.binaries, 1u);
+  EXPECT_EQ(agg.phases[1].phase, "unattributed");
+  EXPECT_EQ(agg.phases[1].runs, 1u);
+  EXPECT_DOUBLE_EQ(agg.phases[1].total_ms, 2.5);
 }
 
 TEST(ScanReport, MarkdownAndJsonRender) {
@@ -406,6 +517,7 @@ TEST(ScanReport, MarkdownAndJsonRender) {
   EXPECT_NE(md.find("| A 1 |"), std::string::npos);
   EXPECT_NE(md.find("in_flight"), std::string::npos);
   EXPECT_NE(md.find("## Phase time"), std::string::npos);
+  EXPECT_NE(md.find("| unattributed | 1 | 2.5 |"), std::string::npos);
 
   std::string json = obs::AggregateToJson(agg);
   auto parsed = ParseJson(json);
@@ -415,6 +527,10 @@ TEST(ScanReport, MarkdownAndJsonRender) {
   EXPECT_EQ(parsed->Find("images")->array()[2].Find("status")->string(),
             "in_flight");
   EXPECT_EQ(static_cast<int>(parsed->Find("malformed_lines")->number()), 2);
+  const auto& phases = parsed->Find("phases")->array();
+  ASSERT_EQ(phases.size(), 2u);
+  EXPECT_EQ(phases[1].Find("phase")->string(), "unattributed");
+  EXPECT_DOUBLE_EQ(phases[1].Find("total_ms")->number(), 2.5);
 }
 
 TEST(ScanReport, TopFunctionsTruncationIsDeterministic) {

@@ -240,5 +240,27 @@ TEST(BottomUp, ImportCapBoundsWork) {
   EXPECT_EQ(analysis.stats.defs_propagated, 5u);
 }
 
+// A wrapper that passes its own formals on, swapped or shifted: every
+// formal maps to its actual at once, never through another formal's
+// actual.
+TEST(ReplaceFormalArgs, SubstitutesAllFormalsSimultaneously) {
+  const SymRef deref_arg0 = SymExpr::Deref(SymExpr::Arg(0));
+  const SymRef deref_arg1 = SymExpr::Deref(SymExpr::Arg(1));
+  // Swapped: arg0 -> arg1 must not then turn back into arg0.
+  EXPECT_TRUE(SymExpr::Equal(
+      ReplaceFormalArgs(deref_arg0, {SymExpr::Arg(1), SymExpr::Arg(0)}),
+      deref_arg1));
+  // Shifted: arg0 -> arg1 must not then turn into arg2.
+  EXPECT_TRUE(SymExpr::Equal(
+      ReplaceFormalArgs(deref_arg0, {SymExpr::Arg(1), SymExpr::Arg(2)}),
+      deref_arg1));
+  // Unmapped formals stay; Bin nodes are rebuilt through the factory.
+  const SymRef sum = SymExpr::Bin(BinOp::kAdd, deref_arg0, SymExpr::Arg(2));
+  EXPECT_TRUE(SymExpr::Equal(
+      ReplaceFormalArgs(sum, {SymExpr::Arg(2), SymExpr::Arg(0)}),
+      SymExpr::Bin(BinOp::kAdd, SymExpr::Deref(SymExpr::Arg(2)),
+                   SymExpr::Arg(2))));
+}
+
 }  // namespace
 }  // namespace dtaint

@@ -18,6 +18,7 @@
 #include "src/core/dtaint.h"
 #include "src/obs/log.h"
 #include "src/obs/metrics.h"
+#include "src/obs/phase.h"
 #include "src/obs/stopwatch.h"
 #include "src/obs/trace.h"
 #include "src/synth/firmware_synth.h"
@@ -590,6 +591,32 @@ TEST(ReportObservability, BinarySpanIsNamedAfterTheSoname) {
     }
   }
   EXPECT_EQ(names, std::vector<std::string>{"httpd"});
+}
+
+TEST(PhaseScope, FinishRecordsOnceIntoTheCollectingTable) {
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  const uint64_t before =
+      registry.histogram("phase.obs_test_micros").Count();
+  obs::PhaseTimings outer, inner;
+  {
+    obs::CollectPhases collect_outer(outer);
+    obs::PhaseScope first("obs_test");
+    const double seconds = first.Finish();
+    EXPECT_GE(seconds, 0.0);
+    EXPECT_EQ(first.Finish(), seconds);  // closed once
+    {
+      obs::CollectPhases collect_inner(inner);
+      obs::PhaseScope nested("obs_test");  // closed by its destructor
+    }
+    { obs::PhaseScope again("obs_test"); }  // outer collects again
+  }
+  { obs::PhaseScope uncollected("obs_test"); }  // no table, no crash
+  ASSERT_EQ(outer.entries().size(), 1u);  // one entry, accumulated
+  EXPECT_EQ(outer.entries()[0].first, "obs_test");
+  ASSERT_EQ(inner.entries().size(), 1u);
+  EXPECT_EQ(outer.Total(), outer.Seconds("obs_test"));
+  EXPECT_EQ(outer.Seconds("never_ran"), 0.0);
+  EXPECT_EQ(registry.histogram("phase.obs_test_micros").Count(), before + 4);
 }
 
 TEST(Stopwatch, MeasuresElapsedTime) {

@@ -8,9 +8,10 @@
 //
 // NormalizedJson serializes a report with the run-dependent fields
 // (timings, cache counters, per-run metrics, the timing-ordered
-// hot-function profile) zeroed; everything else must survive byte
-// comparison. PathFinderStats is NOT cleared: path-search effort is
-// deterministic and must itself be identical across runs.
+// hot-function profile) zeroed and the per-phase timings dropped, so
+// timings_seconds keeps only ssa/ddg/total; everything else must
+// survive byte comparison. PathFinderStats is NOT cleared: path-search
+// effort is deterministic and must itself be identical across runs.
 //
 // The golden helpers compare against the frozen reports under
 // tests/testing/golden/ (see its README), found through __FILE__ so the
@@ -98,6 +99,7 @@ inline std::string NormalizedJson(AnalysisReport report,
   report.ssa_seconds = 0.0;
   report.ddg_seconds = 0.0;
   report.total_seconds = 0.0;
+  report.phase_seconds = obs::PhaseTimings{};
   report.interproc_stats.summary_seconds = 0.0;
   report.interproc_stats.cache_hits = 0;
   report.interproc_stats.cache_misses = 0;
